@@ -255,14 +255,13 @@ class LawSummary:
     kind "dirac": point mass; point may be (d,) or (n, d) for a batch of
     point masses, one per particle.
     kind "empirical": uniform weights on an (N, d) atom cloud.
-    kind "mean": only the mean vector is known.
     Coefficients should consume `mean` (and `cloud` when they need atoms).
     """
 
     __slots__ = ("kind", "_point", "_cloud", "_mean")
 
     def __init__(self, kind: str, point=None, cloud=None):
-        if kind not in ("dirac", "empirical", "mean"):
+        if kind not in ("dirac", "empirical"):
             raise InvalidArgumentError(f"unknown law summary kind {kind!r}")
         self.kind = kind
         self._point = None if point is None else np.asarray(point, dtype=float)
@@ -273,7 +272,7 @@ class LawSummary:
             self._mean = self._cloud.mean(axis=0)
         else:
             if self._point is None:
-                raise InvalidArgumentError(f"{kind} summary needs a point")
+                raise InvalidArgumentError("dirac summary needs a point")
             self._mean = self._point
 
     @classmethod
@@ -283,10 +282,6 @@ class LawSummary:
     @classmethod
     def empirical(cls, cloud) -> "LawSummary":
         return cls("empirical", cloud=cloud)
-
-    @classmethod
-    def mean_only(cls, point) -> "LawSummary":
-        return cls("mean", point=point)
 
     @property
     def mean(self) -> np.ndarray:
@@ -304,40 +299,22 @@ class LawSummary:
 
 @dataclass(frozen=True)
 class ModelConstants:
-    """User-asserted structural constants; recorded, probed, not enforced.
-
-    rho_* give the coefficient families' convergence rates to their limits as
-    (coefficient, exponent) pairs, i.e. rho(eps) = coef * eps**power.
-    """
+    """User-asserted structural constants; recorded, probed, not enforced."""
 
     lipschitz: float = 1.0
-    growth: float = 1.0
-    jump_lipschitz: float = 0.0
-    rho_b: tuple[float, float] = (0.0, 0.0)
-    rho_sigma: tuple[float, float] = (0.0, 0.0)
-    rho_g: tuple[float, float] = (0.0, 0.0)
-
-    def rho_b_at(self, eps: float) -> float:
-        return self.rho_b[0] * eps ** self.rho_b[1]
-
-    def rho_sigma_at(self, eps: float) -> float:
-        return self.rho_sigma[0] * eps ** self.rho_sigma[1]
-
-    def rho_g_at(self, eps: float) -> float:
-        return self.rho_g[0] * eps ** self.rho_g[1]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Coefficients and structure of one mean-field jump-diffusion model.
 
-    Limit coefficients are callables
+    Coefficients are callables
         drift(t, x, law) -> (..., d)
         diffusion(t, x, law) -> (d, d) or (n, d, d)
         jump(t, x, law, z) -> (..., d)
     where t may be a scalar or an (n,) array, x is (n, d), and law is a
-    LawSummary. The eps-indexed families default to the limit coefficients;
-    when given they take a trailing eps argument.
+    LawSummary. The particle engine, the skeletons and the rate functions
+    all read these same coefficients.
     """
 
     name: str
@@ -347,10 +324,6 @@ class ModelSpec:
     diffusion: Callable
     jump: Callable | None = None
     intensity: "IntensityMeasure | None" = None
-    drift_eps: Callable | None = None
-    diffusion_eps: Callable | None = None
-    jump_eps: Callable | None = None
-    drift_jacobian: Callable | None = None
     constants: ModelConstants = field(default_factory=ModelConstants)
 
     def __post_init__(self):
@@ -372,21 +345,6 @@ class ModelSpec:
     @property
     def n_mark_cells(self) -> int:
         return 0 if self.intensity is None else self.intensity.n_cells
-
-    def b_eps(self, t, x, law, eps: float):
-        if self.drift_eps is not None:
-            return self.drift_eps(t, x, law, eps)
-        return self.drift(t, x, law)
-
-    def sigma_eps(self, t, x, law, eps: float):
-        if self.diffusion_eps is not None:
-            return self.diffusion_eps(t, x, law, eps)
-        return self.diffusion(t, x, law)
-
-    def g_eps(self, t, x, law, z, eps: float):
-        if self.jump_eps is not None:
-            return self.jump_eps(t, x, law, z, eps)
-        return self.jump(t, x, law, z)
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,30 @@
 """Interacting particle systems under small Brownian and Poisson noise.
 
 One Euler engine drives every lane; the lanes differ only in where each step
-reads its law (the live particle cloud, or a user-frozen flow) and in which
+reads its law (the live particle cloud, or a frozen flow) and in which
 control it applies. The plain system is literally the controlled engine fed
 the null control, so plain and null-controlled runs from one seed agree bit
 for bit.
 
 Per step k, with the law frozen at the left endpoint:
 
-    X <- X + dt * b_eps                     (drift)
-         + sqrt(eps) * sigma_eps dW         (Brownian)
-         + dt * sigma_eps phi_k             (Brownian control)
-         + dt * sum_j G_eps (psi_kj - 1) nu_j   (jump control shift)
-         - dt * sum_j G_eps psi_kj nu_j         (compensator)
+    X <- X + dt * b                 (drift)
+         + sqrt(eps) * sigma dW     (Brownian)
+         + dt * sigma phi_k         (Brownian control)
+         - dt * sum_j G nu_j        (compensator)
 
-followed by the step's accepted jumps, X += eps * G_eps, applied in time
+followed by the step's accepted jumps, X += eps * G, applied in time
 order per particle (grouped by occurrence rank, vectorized across particles).
-The shift and compensator reuse one G evaluation and cancel to the plain
-compensator exactly when psi = 1.
+Jumps arrive at the tilted rate psi / eps; their compensator
+dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
+cancel to the plain compensator, so psi acts only through the thinning.
 
-The fluctuation engine simulates M = (X - xbar) / a directly: drift
-(B_eps(t, xbar + aM) - B(t, xbar)) / a with the point-mass-coupled field
-B(t, x) = b(t, x, d_x), noise sqrt(eps)/a, jump size eps/a, and jump tilt
-psi_eps = max(psi_floor, 1 + a * tilt), clamps counted in meta.
+The moderate lane is the same engine read in fluctuation coordinates
+M = (X - xbar) / a. Under the null control it runs the plain particle
+system; under a control (phi, tilt) it runs the frozen-law lane with the
+law flow d_xbar and the control (a phi, max(psi_floor, 1 + a tilt)), clamps
+counted in meta. The matching moderate rate linearizes with
+A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .core import (
     Path,
     TimeGrid,
     null_control,
-    null_mdp_control,
 )
 from .errors import (
     DivergenceError,
@@ -49,7 +50,8 @@ from .errors import (
 )
 from .levy import JumpStream, sample_controlled_prm
 from .rng import SeedBlock
-from .skeleton import solve_limit_ode
+from .skeleton import _DIVERGENCE_LIMIT, _field, _guard, _matvec
+from .skeleton import solve_limit_ode  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
     "ParticleEnsemble",
@@ -58,8 +60,6 @@ __all__ = [
     "simulate_controlled_selfconsistent",
     "simulate_mdp_controlled",
 ]
-
-_DIVERGENCE_LIMIT = 1e10
 
 
 @dataclass
@@ -105,42 +105,24 @@ class ParticleEnsemble:
         return Path(self.grid, self.paths[:, i, :], kind="linear")
 
 
-class _FullRecorder:
-    def __init__(self, n_nodes, n_particles, dim, reference):
-        self.paths = np.empty((n_nodes, n_particles, dim))
+class _Recorder:
+    """Full path buffer under record="full" (None under "summary"), plus each
+    particle's running max squared distance to the reference, if any."""
+
+    def __init__(self, record, n_nodes, n_particles, dim, reference):
+        if record not in ("full", "summary"):
+            raise InvalidArgumentError(f"unknown record mode {record!r}")
+        full = record == "full"
+        self.paths = np.empty((n_nodes, n_particles, dim)) if full else None
         self.reference = reference
         self.sup_sq = None if reference is None else np.zeros(n_particles)
 
     def record(self, k, x):
-        self.paths[k] = x
+        if self.paths is not None:
+            self.paths[k] = x
         if self.reference is not None:
             d2 = np.sum((x - self.reference[k]) ** 2, axis=1)
             np.maximum(self.sup_sq, d2, out=self.sup_sq)
-
-    def finish(self, x):
-        return self.paths, x.copy(), self.sup_sq
-
-
-class _SummaryRecorder:
-    def __init__(self, n_nodes, n_particles, dim, reference):
-        self.reference = reference
-        self.sup_sq = None if reference is None else np.zeros(n_particles)
-
-    def record(self, k, x):
-        if self.reference is not None:
-            d2 = np.sum((x - self.reference[k]) ** 2, axis=1)
-            np.maximum(self.sup_sq, d2, out=self.sup_sq)
-
-    def finish(self, x):
-        return None, x.copy(), self.sup_sq
-
-
-def _make_recorder(record, n_nodes, n_particles, dim, reference):
-    if record == "full":
-        return _FullRecorder(n_nodes, n_particles, dim, reference)
-    if record == "summary":
-        return _SummaryRecorder(n_nodes, n_particles, dim, reference)
-    raise InvalidArgumentError(f"unknown record mode {record!r}")
 
 
 def _as_reference(reference, grid: TimeGrid, dim: int):
@@ -178,13 +160,6 @@ def _law_flow_adapter(law_flow, grid: TimeGrid) -> Callable[[int], LawSummary]:
     raise InvalidArgumentError("cannot interpret the frozen law flow")
 
 
-def _matvec(mat, vec):
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim == 2:
-        return vec @ mat.T
-    return np.einsum("nij,nj->ni", mat, vec)
-
-
 def _check_eps(eps: float, warnings: list):
     if not (eps > 0 and np.isfinite(eps)):
         raise InvalidArgumentError("eps must be positive and finite")
@@ -195,7 +170,7 @@ def _check_eps(eps: float, warnings: list):
         )
 
 
-def _apply_jumps(js: JumpStream, k: int, x, law, spec, eps, scale, mdp_state=None):
+def _apply_jumps(js: JumpStream, k: int, x, law, spec, eps):
     """Apply step k's accepted jumps in per-particle time order."""
     lo, hi = js.step_offsets[k], js.step_offsets[k + 1]
     if hi == lo:
@@ -212,13 +187,8 @@ def _apply_jumps(js: JumpStream, k: int, x, law, spec, eps, scale, mdp_state=Non
             sel = pos + np.flatnonzero(cells[pos:end] == j)
             pid = streams[sel]
             z = js.intensity.atoms[j]
-            if mdp_state is None:
-                g = spec.g_eps(times[sel], x[pid], law, z, eps)
-            else:
-                xbar_k, a = mdp_state
-                state = xbar_k + a * x[pid]
-                g = spec.g_eps(times[sel], state, LawSummary.dirac(state), z, eps)
-            x[pid] += scale * np.asarray(g, dtype=float).reshape(pid.size, -1)
+            g = spec.jump(times[sel], x[pid], law, z)
+            x[pid] += eps * np.asarray(g, dtype=float).reshape(pid.size, -1)
         pos = end
         r += 1
 
@@ -257,7 +227,7 @@ def _run_main(
             grid, spec.intensity, 1.0 / eps, control, big_n, sb.jumps
         )
         masses = spec.intensity.masses
-    rec = _make_recorder(record, n + 1, big_n, d, _as_reference(reference, grid, d))
+    rec = _Recorder(record, n + 1, big_n, d, _as_reference(reference, grid, d))
     x = np.tile(spec.initial, (big_n, 1))
     rec.record(0, x)
     sqrt_eps = float(np.sqrt(eps))
@@ -267,8 +237,8 @@ def _run_main(
         t_k = float(grid.nodes[k])
         dt = float(grid.dt[k])
         law = LawSummary.empirical(x) if law_mode == "self" else flow(k)
-        drift = np.asarray(spec.b_eps(t_k, x, law, eps), dtype=float)
-        sig = spec.sigma_eps(t_k, x, law, eps)
+        drift = np.asarray(spec.drift(t_k, x, law), dtype=float)
+        sig = spec.diffusion(t_k, x, law)
         dw = sb.brownian.standard_normal((big_n, d)) * np.sqrt(dt)
         incr = dt * np.broadcast_to(drift, (big_n, d)) + sqrt_eps * _matvec(sig, dw)
         if phi_active:
@@ -278,26 +248,21 @@ def _run_main(
             g_stack = np.stack(
                 [
                     np.broadcast_to(
-                        np.asarray(
-                            spec.g_eps(t_k, x, law, z, eps), dtype=float
-                        ),
+                        np.asarray(spec.jump(t_k, x, law, z), dtype=float),
                         (big_n, d),
                     )
                     for z in spec.intensity.atoms
                 ],
                 axis=1,
             )  # (N, C, d)
-            psi_k = control.psi[k]
-            incr = incr + dt * np.einsum("ncd,c->nd", g_stack, (psi_k - 1.0) * masses)
-            incr = incr - dt * np.einsum("ncd,c->nd", g_stack, psi_k * masses)
+            incr -= dt * np.einsum("ncd,c->nd", g_stack, masses)
         x = x + incr
         if js is not None:
-            _apply_jumps(js, k, x, law, spec, eps, eps)
+            _apply_jumps(js, k, x, law, spec, eps)
         if not np.isfinite(x).all() or np.abs(x).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"particle system diverged at step {k}", step=k)
         rec.record(k + 1, x)
 
-    paths, terminal, sup_sq = rec.finish(x)
     meta = {
         "warnings": warnings,
         "law_mode": law_mode,
@@ -312,9 +277,9 @@ def _run_main(
         dim=d,
         seed=int(seed),
         kind="state",
-        terminal=terminal,
-        paths=paths,
-        sup_sq=sup_sq,
+        terminal=x,
+        paths=rec.paths,
+        sup_sq=rec.sup_sq,
         meta=meta,
     )
 
@@ -377,6 +342,20 @@ def simulate_controlled_frozen(
     )
 
 
+def _euler_limit_path(spec: ModelSpec, grid: TimeGrid) -> np.ndarray:
+    """Noise-free Euler path xbar_{k+1} = xbar_k + dt_k b(t_k, xbar_k, d_xbar_k).
+
+    The fluctuation lane centres on this path, not on solve_limit_ode: the
+    particles follow the Euler scheme, and its O(dt) gap to the exact limit
+    would be divided by a and bias M."""
+    xbar = np.empty((grid.n_steps + 1, spec.dim))
+    xbar[0] = spec.initial
+    for k in range(grid.n_steps):
+        xbar[k + 1] = xbar[k] + grid.dt[k] * _field(spec, float(grid.nodes[k]), xbar[k])
+        _guard(xbar[k + 1], k)
+    return xbar
+
+
 def simulate_mdp_controlled(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -389,109 +368,59 @@ def simulate_mdp_controlled(
     record: str = "full",
     reference=None,
 ) -> ParticleEnsemble:
-    """Simulate the moderate-regime fluctuation process M = (X - xbar) / a."""
-    warnings: list = []
-    _check_eps(eps, warnings)
+    """Moderate-regime fluctuation M = (X - xbar) / a of the particle system.
+
+    The null control (None, or phi = 0 and tilt = 0) runs the plain particle
+    system; any other control runs the frozen-law lane with the law flow
+    d_xbar and the control (a phi, max(psi_floor, 1 + a tilt)). Paths,
+    terminal and sup_sq (against the reference read in M coordinates) all
+    come back in M coordinates.
+    """
     if not (a > 0 and np.isfinite(a)):
         raise InvalidArgumentError("the moderate scale a must be positive")
+    window = []
     if a >= 1.0 or eps / a**2 >= 1.0:
-        warnings.append(
+        window.append(
             f"a={a:g}, eps/a^2={eps / a**2:g}: outside the moderate window "
             "(a -> 0 with eps/a^2 -> 0)"
         )
-    if n_particles < 1:
-        raise InvalidArgumentError("n_particles must be >= 1")
-    if control is None:
-        control = null_mdp_control(grid, spec.dim, spec.n_mark_cells)
-    if control.grid != grid:
-        raise GridMismatchError("control grid does not match the simulation grid")
-    if control.dim != spec.dim:
-        raise InvalidControlError("control dimension does not match the model")
-    if spec.has_jumps and control.tilt.shape[1] != spec.intensity.n_cells:
-        raise InvalidControlError("control tilt does not cover the mark cells")
+    if control is not None:
+        if control.grid != grid:
+            raise GridMismatchError("control grid does not match the simulation grid")
+        if control.dim != spec.dim:
+            raise InvalidControlError("control dimension does not match the model")
+        if spec.has_jumps and control.tilt.shape[1] != spec.intensity.n_cells:
+            raise InvalidControlError("control tilt does not cover the mark cells")
 
-    n, d, big_n = grid.n_steps, spec.dim, n_particles
-    xbar = solve_limit_ode(spec, grid).values
-    sb = SeedBlock.from_seed(seed)
-    js = None
+    d = spec.dim
+    xbar = _euler_limit_path(spec, grid)
+    ref = _as_reference(reference, grid, d)
+    ref_x = None if ref is None else xbar + a * ref
     clamped = 0
-    if spec.has_jumps:
+    if control is None or not (control.phi.any() or control.tilt.any()):
+        ens = _run_main(
+            spec, grid, eps, n_particles, seed, "self", None, None, record, ref_x
+        )
+    else:
         raw = 1.0 + a * control.tilt
-        psi_eps = np.maximum(psi_floor, raw)
+        psi = np.maximum(psi_floor, raw)
         clamped = int(np.count_nonzero(raw < psi_floor))
-        jump_control = Control(
-            grid,
-            np.zeros((n, d)),
-            psi_eps,
-            psi_bounds=(float(psi_eps.min()), float(max(psi_eps.max(), psi_floor))),
+        bounds = (float(psi.min(initial=1.0)), float(psi.max(initial=1.0)))
+        ctl = Control(grid, a * control.phi, psi, psi_bounds=bounds)
+        ens = _run_main(
+            spec, grid, eps, n_particles, seed, "frozen", ctl, Path(grid, xbar),
+            record, ref_x,
         )
-        js = sample_controlled_prm(
-            grid, spec.intensity, 1.0 / eps, jump_control, big_n, sb.jumps
-        )
-        masses = spec.intensity.masses
-    rec = _make_recorder(record, n + 1, big_n, d, _as_reference(reference, grid, d))
-    m = np.zeros((big_n, d))
-    rec.record(0, m)
-    noise_scale = float(np.sqrt(eps)) / a
 
-    for k in range(n):
-        t_k = float(grid.nodes[k])
-        dt = float(grid.dt[k])
-        state = xbar[k] + a * m
-        law = LawSummary.dirac(state)
-        b_state = np.asarray(spec.b_eps(t_k, state, law, eps), dtype=float)
-        b_limit = np.asarray(
-            spec.drift(t_k, xbar[k][None, :], LawSummary.dirac(xbar[k])), dtype=float
-        ).reshape(1, d)
-        bdiff = (np.broadcast_to(b_state, (big_n, d)) - b_limit) / a
-        sig = spec.sigma_eps(t_k, state, law, eps)
-        dw = sb.brownian.standard_normal((big_n, d)) * np.sqrt(dt)
-        incr = dt * bdiff + noise_scale * _matvec(sig, dw)
-        incr = incr + dt * _matvec(sig, np.broadcast_to(control.phi[k], (big_n, d)))
-        if js is not None:
-            g_stack = np.stack(
-                [
-                    np.broadcast_to(
-                        np.asarray(spec.g_eps(t_k, state, law, z, eps), dtype=float),
-                        (big_n, d),
-                    )
-                    for z in spec.intensity.atoms
-                ],
-                axis=1,
-            )
-            psi_k = psi_eps[k]
-            incr = incr + dt * np.einsum(
-                "ncd,c->nd", g_stack, (psi_k - 1.0) * masses / a
-            )
-            incr = incr - dt * np.einsum("ncd,c->nd", g_stack, psi_k * masses / a)
-        m = m + incr
-        if js is not None:
-            _apply_jumps(js, k, m, law, spec, eps, eps / a, mdp_state=(xbar[k], a))
-        if not np.isfinite(m).all() or np.abs(m).max() > _DIVERGENCE_LIMIT:
-            raise DivergenceError(f"fluctuation system diverged at step {k}", step=k)
-        rec.record(k + 1, m)
-
-    paths, terminal, sup_sq = rec.finish(m)
-    meta = {
-        "warnings": warnings,
-        "law_mode": "dirac",
-        "rate_scale": 1.0 / eps,
-        "a": float(a),
-        "speed": eps / a**2,
-        "clamped_cells": clamped,
-        "psi_floor": psi_floor,
-        "n_jumps": 0 if js is None else int(js.n_jumps),
-        "n_proposed": 0 if js is None else int(js.n_proposed),
-    }
-    return ParticleEnsemble(
-        grid=grid,
-        eps=eps,
-        n_particles=big_n,
-        dim=d,
-        seed=int(seed),
-        kind="fluctuation",
-        terminal=terminal,
-        paths=paths,
-        sup_sq=sup_sq,
-        meta=meta,
+    if ens.paths is not None:
+        ens.paths -= xbar[:, None, :]
+        ens.paths /= a
+    if ens.sup_sq is not None:
+        ens.sup_sq /= a**2
+    ens.terminal = (ens.terminal - xbar[-1]) / a
+    ens.kind = "fluctuation"
+    ens.meta["warnings"].extend(window)
+    ens.meta.update(
+        a=float(a), speed=eps / a**2, clamped_cells=clamped, psi_floor=psi_floor
     )
+    return ens

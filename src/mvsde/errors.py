@@ -44,6 +44,3 @@ class NoConvergenceError(NumericError):
         super().__init__(message)
         self.residual = residual
 
-
-class InvariantViolationError(MvsdeError):
-    """A mathematical invariant that must hold was violated numerically."""

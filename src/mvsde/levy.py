@@ -22,7 +22,6 @@ __all__ = [
     "JumpStream",
     "sample_prm",
     "sample_controlled_prm",
-    "cell_integral",
 ]
 
 
@@ -64,14 +63,6 @@ class IntensityMeasure:
         return float(self.masses.sum())
 
 
-def cell_integral(intensity: IntensityMeasure, values: np.ndarray, axis: int = -1):
-    """Integrate per-cell values against nu: sum_j values[..., j] * masses[j]."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[axis] != intensity.n_cells:
-        raise InvalidArgumentError("values axis does not match the number of mark cells")
-    return np.tensordot(values, intensity.masses, axes=([axis], [0]))
-
-
 @dataclass(frozen=True)
 class JumpStream:
     """Accepted jumps for a batch of independent streams, engine-ordered.
@@ -95,13 +86,6 @@ class JumpStream:
     @property
     def n_jumps(self) -> int:
         return self.stream.size
-
-    @property
-    def marks(self) -> np.ndarray:
-        return self.intensity.atoms[self.cell]
-
-    def counts_per_stream(self) -> np.ndarray:
-        return np.bincount(self.stream, minlength=self.n_streams)
 
 
 def _sample_thinned(

@@ -5,6 +5,11 @@ batch and t a scalar or (n,) array; diffusion returns a (d, d) matrix (or an
 (n, d, d) batch); jump(t, x, law, z) -> (n, d) for one mark atom z. Laws
 arrive as LawSummary; models should read law.mean (broadcast against x) and
 law.cloud only if they truly need atoms.
+
+No model supplies a jacobian: the moderate skeleton linearizes every model
+the same way, with A(t) = d_x b(t, xbar, d_xbar), the law frozen at the
+noise-free solution (skeleton.jacobian_b_x). The derivative in the measure
+argument drops out of the moderate limit.
 """
 from __future__ import annotations
 
@@ -27,8 +32,8 @@ def _mean_like(law, x):
 def _example11() -> ModelSpec:
     """Mean-field pull: each particle drifts at the population mean.
 
-    The limit flow from 1.0 is exp(t); the point-mass-coupled field is
-    B(t, x) = x, so the fluctuation linearization is the constant 1.
+    The limit flow from 1.0 is exp(t). The drift does not read the state
+    itself, so A = d_x b = 0 and M(1) has variance h = eps / a^2.
     """
 
     def drift(t, x, law):
@@ -43,8 +48,7 @@ def _example11() -> ModelSpec:
         initial=np.array([1.0]),
         drift=drift,
         diffusion=diffusion,
-        drift_jacobian=lambda t, x: np.array([[1.0]]),
-        constants=ModelConstants(lipschitz=1.0, growth=1.0),
+        constants=ModelConstants(lipschitz=1.0),
     )
 
 
@@ -63,8 +67,7 @@ def _linear_gaussian() -> ModelSpec:
         initial=np.array([1.0]),
         drift=drift,
         diffusion=diffusion,
-        drift_jacobian=lambda t, x: np.array([[1.0]]),
-        constants=ModelConstants(lipschitz=1.0, growth=1.0),
+        constants=ModelConstants(lipschitz=1.0),
     )
 
 
@@ -88,16 +91,15 @@ def _pure_jump() -> ModelSpec:
         diffusion=diffusion,
         jump=jump,
         intensity=IntensityMeasure(np.array([[1.0]]), np.array([1.0])),
-        drift_jacobian=lambda t, x: np.array([[0.0]]),
-        constants=ModelConstants(lipschitz=0.0, growth=1.0, jump_lipschitz=0.0),
+        constants=ModelConstants(lipschitz=0.0),
     )
 
 
 def _logistic_mf() -> ModelSpec:
     """Logistic growth damped by the population mean, with small down-jumps.
 
-    b(t, x, mu) = x (1 - mean(mu)); the point-mass-coupled field is the
-    logistic x(1 - x) with jacobian 1 - 2x.
+    b(t, x, mu) = x (1 - mean(mu)); the limit solves the logistic equation
+    x' = x (1 - x), and A = d_x b(t, xbar, d_xbar) = 1 - xbar.
     """
 
     def drift(t, x, law):
@@ -110,9 +112,6 @@ def _logistic_mf() -> ModelSpec:
     def jump(t, x, law, z):
         return -0.2 * float(z[0]) * np.asarray(x, dtype=float)
 
-    def jac(t, x):
-        return np.array([[1.0 - 2.0 * float(x[0])]])
-
     return ModelSpec(
         name="logistic_mf",
         dim=1,
@@ -121,8 +120,7 @@ def _logistic_mf() -> ModelSpec:
         diffusion=diffusion,
         jump=jump,
         intensity=IntensityMeasure(np.array([[1.0]]), np.array([0.5])),
-        drift_jacobian=jac,
-        constants=ModelConstants(lipschitz=10.0, growth=10.0, jump_lipschitz=0.2),
+        constants=ModelConstants(lipschitz=10.0),
     )
 
 
@@ -168,7 +166,7 @@ def load_model_file(path) -> ModelSpec:
       diffusion: {"const": [d][d]}
       jump:      {"mark_matrix": [d][m]}      G(t, x, mu, z) = mark_matrix z
       intensity: {"atoms": [c][m], "masses": [c]}
-      constants: {"lipschitz": .., "growth": .., "jump_lipschitz": ..}
+      constants: {"lipschitz": ..}
     """
     path = FsPath(path)
     try:
@@ -224,13 +222,7 @@ def load_model_file(path) -> ModelSpec:
             return np.broadcast_to(_mark @ np.asarray(z, dtype=float), x.shape)
 
     consts = raw.get("constants", {})
-    constants = ModelConstants(
-        lipschitz=float(consts.get("lipschitz", 1.0)),
-        growth=float(consts.get("growth", 1.0)),
-        jump_lipschitz=float(consts.get("jump_lipschitz", 0.0)),
-    )
-    # The point-mass-coupled field is const + (linear_x + linear_mean) x.
-    total = lin_x + lin_m
+    constants = ModelConstants(lipschitz=float(consts.get("lipschitz", 1.0)))
 
     return ModelSpec(
         name=str(raw["name"]),
@@ -240,6 +232,5 @@ def load_model_file(path) -> ModelSpec:
         diffusion=diffusion,
         jump=jump,
         intensity=intensity,
-        drift_jacobian=lambda t, x: total,
         constants=constants,
     )

@@ -11,9 +11,11 @@ y = xbar + (integral of the difference against the limit drift), so the null
 control is an exact fixed point of the Picard map and the discretization
 error of the limit path does not leak into the correction term.
 
-The moderate-deviation skeleton is the variational equation of the limit ODE
-driven by the control: m' = A(t) m + sigma(t) phi + sum_j G(t, z_j) tilt_j nu_j
-with A the jacobian of the point-mass-coupled drift field along xbar.
+The moderate-deviation skeleton is the linearization of the large-deviation
+skeleton at the null control: m' = A(t) m + sigma(t) phi + sum_j G(t, z_j)
+tilt_j nu_j with A(t) = d_x b(t, xbar, d_xbar), the law again frozen at the
+limit. The particle law sits O(sqrt(eps)) from d_xbar, so its derivative
+term is O(sqrt(eps) / a) and vanishes in the moderate window.
 """
 from __future__ import annotations
 
@@ -174,35 +176,20 @@ def solve_ldp_skeleton(
     )
 
 
-def jacobian_b_x(
-    spec: ModelSpec,
-    t: float,
-    x: np.ndarray,
-    law: LawSummary | None = None,
-    fd_rel_step: float = 1e-6,
-) -> np.ndarray:
-    """Jacobian in x of the drift at (t, x).
-
-    With law=None this is the total derivative of the point-mass-coupled
-    field B(t, x) = b(t, x, d_x), the linearization that drives the moderate
-    skeleton; a model-supplied exact jacobian is used when available. With an
-    explicit law the law argument stays frozen and the partial derivative is
-    formed by central differences.
-    """
+def jacobian_b_x(spec: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
+    """Partial jacobian d_x b(t, x, d_x): the law stays frozen at the point
+    mass on x while the state moves, by central differences."""
     x = np.reshape(np.asarray(x, dtype=float), (spec.dim,))
-    if law is None and spec.drift_jacobian is not None:
-        jac = np.asarray(spec.drift_jacobian(t, x), dtype=float)
-        return jac.reshape(spec.dim, spec.dim)
+    law = LawSummary.dirac(x)
 
     def f(y: np.ndarray) -> np.ndarray:
-        law_y = LawSummary.dirac(y) if law is None else law
         return np.reshape(
-            np.asarray(spec.drift(t, y[None, :], law_y), dtype=float), (spec.dim,)
+            np.asarray(spec.drift(t, y[None, :], law), dtype=float), (spec.dim,)
         )
 
     jac = np.empty((spec.dim, spec.dim))
     for i in range(spec.dim):
-        h = fd_rel_step * (1.0 + abs(x[i]))
+        h = 1e-6 * (1.0 + abs(x[i]))
         e = np.zeros(spec.dim)
         e[i] = h
         jac[:, i] = (f(x + e) - f(x - e)) / (2.0 * h)

@@ -261,13 +261,12 @@ def check_mdp(
     a_exp: float = 0.25,
     target: float | None = None,
     tol: float | None = None,
-    psi_floor: float = 1e-3,
     jobs: int = 1,
 ) -> SlopeReport:
     """Estimate the moderate rate of a fluctuation event, a(eps) = eps^a_exp.
 
     The event is read in fluctuation coordinates M = (X - xbar) / a; samples
-    come from the fluctuation system under the null control.
+    come from the particle system under the null control.
     """
     eps_list = _validate_eps_list(eps_list)
     if not (0.0 < a_exp < 0.5):
@@ -286,7 +285,6 @@ def check_mdp(
             None,
             n_particles,
             derive_seed(seed, "check_mdp", idx),
-            psi_floor=psi_floor,
             record="summary",
             reference=event.ref_path if event.kind == "pin_path" else None,
         )

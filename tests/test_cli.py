@@ -89,7 +89,7 @@ def test_rate_mdp_value(runner):
         main, ["rate", "--kind", "mdp", "--event", "pin:1.0:0.0", "--steps", "400"]
     )
     assert out.exit_code == 0, out.output
-    assert "0.1565177" in out.output
+    assert "rate value: 0.5 " in out.output
 
 
 def test_rate_unreachable_exits_4(runner):

@@ -134,18 +134,6 @@ def test_model_spec_jump_requires_intensity(example11):
         )
 
 
-def test_eps_variants_default_to_limits(example11):
-    t = 0.3
-    x = np.array([[1.5]])
-    law = LawSummary.dirac(np.array([1.5]))
-    np.testing.assert_allclose(
-        example11.b_eps(t, x, law, 0.1), example11.drift(t, x, law)
-    )
-    np.testing.assert_allclose(
-        example11.sigma_eps(t, x, law, 0.1), example11.diffusion(t, x, law)
-    )
-
-
 def test_probe_drift_monotonicity_flags_bad_constant(example11):
     import dataclasses
 

@@ -15,7 +15,10 @@ from mvsde.dynamics import (
     simulate_mdp_controlled,
     simulate_mvsde,
 )
+from mvsde.dynamics import _euler_limit_path
 from mvsde.errors import DivergenceError, InvalidArgumentError
+from mvsde.models import get_model
+from mvsde.rate import _mdp_response
 from mvsde.skeleton import solve_limit_ode
 
 # forward Euler applied to x' = x from 1.0 on 400 equal cells
@@ -123,16 +126,46 @@ def test_law_flow_variants_agree_for_mean_drift(example11):
 
 
 def test_mdp_lane_null_control_variance(example11):
-    # fluctuations M solve dM = M dt + sqrt(eps)/a dW: Var M_T ~ (eps/a^2)(e^2-1)/2
+    # A = d_x b(t, xbar, d_xbar) = 0, so dM = sqrt(eps)/a dW: Var M_T = eps/a^2
     grid = make_time_grid(1.0, 200)
     eps, a = 1e-4, 1e-1
     ens = simulate_mdp_controlled(example11, grid, eps, a, None, 5000, seed=11)
     var = ens.terminal[:, 0].var()
-    target = (eps / a**2) * (np.e**2 - 1) / 2
+    target = eps / a**2
     assert abs(ens.terminal[:, 0].mean()) < 0.01
     assert 0.8 * target < var < 1.2 * target
     assert ens.kind == "fluctuation"
     assert ens.meta["a"] == a
+
+
+def test_mdp_null_control_is_the_particle_system(logistic):
+    # the fluctuation lane is (X - xbar) / a of the plain run, bit for bit,
+    # with xbar the engine's own noise-free Euler path
+    grid = make_time_grid(1.0, 60)
+    eps, a = 1e-3, 1e-3**0.25
+    plain = simulate_mvsde(logistic, grid, eps, 48, seed=3)
+    fluct = simulate_mdp_controlled(logistic, grid, eps, a, None, 48, seed=3)
+    xbar = _euler_limit_path(logistic, grid)
+    np.testing.assert_array_equal(fluct.paths, (plain.paths - xbar[:, None, :]) / a)
+    np.testing.assert_array_equal(fluct.terminal, (plain.terminal - xbar[-1]) / a)
+    assert fluct.meta["n_jumps"] == plain.meta["n_jumps"] > 0
+
+
+@pytest.mark.parametrize("name", ["example11", "logistic_mf", "pure_jump"])
+def test_mdp_lane_variance_matches_skeleton_gramian(name):
+    # Var M(1) / h -> A W^-1 A^T of the moderate skeleton (h = eps / a^2);
+    # 5 % is 5 standard errors of a sample variance from 2e4 particles
+    spec = get_model(name)
+    grid = make_time_grid(1.0, 200)
+    eps = 1e-2
+    a = eps**0.25
+    ens = simulate_mdp_controlled(
+        spec, grid, eps, a, None, 20_000, seed=5, record="summary"
+    )
+    ratio = ens.terminal[:, 0].var() / (eps / a**2)
+    resp, w = _mdp_response(spec, grid)
+    gramian = ((resp / w) @ resp.T)[0, 0]
+    assert ratio == pytest.approx(gramian, rel=0.05)
 
 
 def test_mdp_psi_floor_clamps(pure_jump):

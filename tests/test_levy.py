@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvsde.core import Control, make_time_grid
 from mvsde.errors import GridMismatchError, InvalidArgumentError, InvalidControlError
-from mvsde.levy import IntensityMeasure, cell_integral, sample_controlled_prm, sample_prm
+from mvsde.levy import IntensityMeasure, sample_controlled_prm, sample_prm
 
 
 def two_cell():
@@ -23,12 +23,6 @@ def test_intensity_validation():
         IntensityMeasure(atoms=np.array([[1.0]]), masses=np.array([0.0]))
     with pytest.raises(InvalidArgumentError):
         IntensityMeasure(atoms=np.array([[1.0], [2.0]]), masses=np.array([1.0]))
-
-
-def test_cell_integral_matches_hand_sum():
-    m = two_cell()
-    values = np.array([[3.0, 4.0], [1.0, 0.0]])  # (n, C)
-    np.testing.assert_allclose(cell_integral(m, values), [2 * 3 + 1 * 4, 2 * 1])
 
 
 def test_plain_stream_layout_and_counts():
@@ -49,8 +43,6 @@ def test_plain_stream_layout_and_counts():
     # mean total count = rate_scale * total_mass * T per stream
     total = js.n_jumps / 4
     assert abs(total - 300.0) < 4 * np.sqrt(300.0)
-    assert js.marks.shape == (js.n_jumps, 1)
-    assert js.counts_per_stream().sum() == js.n_jumps
 
 
 def test_ranks_are_time_order_within_stream_step():

@@ -29,7 +29,6 @@ def test_example11_limit_is_exponential(example11):
 def test_logistic_structure(logistic):
     assert logistic.has_jumps
     assert logistic.n_mark_cells == 1
-    assert logistic.drift_jacobian is not None
 
 
 def test_pure_jump_shapes(pure_jump):
@@ -68,8 +67,6 @@ def test_json_model_roundtrip(tmp_path):
     np.testing.assert_allclose(
         spec.drift(0.0, x, law), [[0.1 + 2.0 + 0.5, 0.0 + 0.0 + 1.0]]
     )
-    # affine drift comes with its exact jacobian
-    assert spec.drift_jacobian is not None
     # the file path is accepted by the registry front door too
     same = get_model(str(f))
     assert same.name == "affine_demo"

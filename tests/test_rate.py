@@ -131,8 +131,8 @@ def test_ldp_rate_pure_jump_pin(pure_jump):
 
 
 def test_mdp_rate_exact_pin_two_grids(example11):
-    # closed form: inf (1/2) int phi^2 with m(1) = 1 gives 1 / (e^2 - 1)
-    target = 1.0 / (np.e**2 - 1.0)
+    # A = 0, so m(1) = int phi: inf (1/2) int phi^2 with m(1) = 1 gives 1/2
+    target = 0.5
     vals = {}
     for n in (400, 800):
         res = mdp_rate(example11, make_time_grid(1.0, n), EventSpec.pin([1.0]))

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -85,20 +83,21 @@ def test_picard_reports_non_convergence():
     assert sol.residual > 1e-12
 
 
-def test_jacobian_exact_override_matches_fd(logistic):
+def test_jacobian_freezes_the_law(logistic, example11):
+    # b(t, x, mu) = x (1 - mean(mu)): with the law frozen at d_x the partial
+    # derivative is 1 - x, not the total derivative 1 - 2x of x (1 - x)
     x = np.array([0.37])
-    exact = jacobian_b_x(logistic, 0.2, x)
-    np.testing.assert_allclose(exact, [[1.0 - 2 * 0.37]], atol=1e-12)
-    fd = jacobian_b_x(dataclasses.replace(logistic, drift_jacobian=None), 0.2, x)
-    np.testing.assert_allclose(fd, exact, atol=1e-8)
+    np.testing.assert_allclose(jacobian_b_x(logistic, 0.2, x), [[1.0 - 0.37]], atol=1e-8)
+    # example11 reads the law only
+    np.testing.assert_allclose(jacobian_b_x(example11, 0.2, x), [[0.0]], atol=1e-12)
 
 
 def test_mdp_skeleton_linear_response(example11):
-    # A(t) = 1 for this model, so phi = 1 gives m(t) = e^t - 1
+    # A(t) = d_x b = 0 for this model, so phi = 1 gives m(t) = t
     grid = make_time_grid(1.0, 800)
     ctl = MdpControl(grid, np.ones((800, 1)), np.ones((800, 0)))
     m = solve_mdp_skeleton(example11, grid, ctl)
-    assert abs(m.terminal[0] - (E - 1.0)) < 1e-12
+    assert abs(m.terminal[0] - 1.0) < 1e-12
 
 
 def test_mdp_skeleton_null_is_zero(logistic):

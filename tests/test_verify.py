@@ -102,10 +102,10 @@ def test_check_ldp_validates_eps(example11):
 
 def test_check_mdp_smoke(example11):
     grid = make_time_grid(1.0, 100)
-    event = EventSpec.halfspace([1.0], 1.0)
+    event = EventSpec.halfspace([1.0], 0.5)
     rep = check_mdp(
         example11, grid, [0.01, 0.004], event, 4000, seed=1,
-        target=1 / (np.e**2 - 1), tol=0.5, jobs=2,
+        target=0.125, tol=0.5, jobs=2,
     )
     assert rep.kind == "mdp"
     assert all(row.a is not None and 0 < row.a < 1 for row in rep.rows)
