@@ -405,6 +405,7 @@ def verify_ldp_cmd(
         "verify-ldp",
         model=model_name, eps_list=eps_values, event=event_text,
         particles=particles, steps=steps, horizon=horizon, seed=seed, tol=tol,
+        cells=cells, target=target,
     )
     _finish_verify(report, out, manifest)
 
@@ -443,7 +444,7 @@ def verify_mdp_cmd(
         "verify-mdp",
         model=model_name, eps_list=eps_values, event=event_text,
         particles=particles, a_exp=a_exp, steps=steps, horizon=horizon,
-        seed=seed, tol=tol,
+        seed=seed, tol=tol, target=target,
     )
     _finish_verify(report, out, manifest)
 

@@ -15,7 +15,11 @@ Per step k, with the law frozen at the left endpoint:
 
 followed by the step's accepted jumps, X += eps * G, applied in time
 order per particle (grouped by occurrence rank, vectorized across particles).
-Jumps arrive at the tilted rate psi / eps; their compensator
+The step's jumps are sampled inside the loop (levy.sample_step), so memory
+holds one step's jumps, not the horizon's. The Brownian increment is drawn
+only when the step's sigma is not identically zero; at sigma = 0 the
+Brownian substream is left untouched. Jumps arrive at the tilted rate
+psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
 
@@ -48,7 +52,8 @@ from .errors import (
     InvalidArgumentError,
     InvalidControlError,
 )
-from .levy import JumpStream, sample_controlled_prm
+from .levy import sample_controlled_prm  # noqa: F401 -- perfbench/tracing.py wraps it here
+from .levy import sample_step
 from .rng import SeedBlock
 from .skeleton import _DIVERGENCE_LIMIT, _field, _guard, _matvec
 from .skeleton import solve_limit_ode  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -170,23 +175,17 @@ def _check_eps(eps: float, warnings: list):
         )
 
 
-def _apply_jumps(js: JumpStream, k: int, x, law, spec, eps):
-    """Apply step k's accepted jumps in per-particle time order."""
-    lo, hi = js.step_offsets[k], js.step_offsets[k + 1]
-    if hi == lo:
-        return
-    streams = js.stream[lo:hi]
-    times = js.time[lo:hi]
-    cells = js.cell[lo:hi]
-    ranks = js.rank[lo:hi]
+def _apply_jumps(streams, times, cells, ranks, x, law, spec, eps):
+    """Apply one step's accepted jumps, sorted by (rank, stream), in
+    per-particle time order."""
     pos = 0
     r = 0
     while pos < ranks.size:
         end = int(np.searchsorted(ranks, r + 1))
-        for j in np.unique(cells[pos:end]):
+        for j in np.flatnonzero(np.bincount(cells[pos:end])):
             sel = pos + np.flatnonzero(cells[pos:end] == j)
             pid = streams[sel]
-            z = js.intensity.atoms[j]
+            z = spec.intensity.atoms[j]
             g = spec.jump(times[sel], x[pid], law, z)
             x[pid] += eps * np.asarray(g, dtype=float).reshape(pid.size, -1)
         pos = end
@@ -221,12 +220,8 @@ def _run_main(
 
     n, d, big_n = grid.n_steps, spec.dim, n_particles
     sb = SeedBlock.from_seed(seed)
-    js = None
-    if spec.has_jumps:
-        js = sample_controlled_prm(
-            grid, spec.intensity, 1.0 / eps, control, big_n, sb.jumps
-        )
-        masses = spec.intensity.masses
+    hi = control.psi_bounds[1]
+    n_jumps = n_proposed = 0
     rec = _Recorder(record, n + 1, big_n, d, _as_reference(reference, grid, d))
     x = np.tile(spec.initial, (big_n, 1))
     rec.record(0, x)
@@ -239,12 +234,14 @@ def _run_main(
         law = LawSummary.empirical(x) if law_mode == "self" else flow(k)
         drift = np.asarray(spec.drift(t_k, x, law), dtype=float)
         sig = spec.diffusion(t_k, x, law)
-        dw = sb.brownian.standard_normal((big_n, d)) * np.sqrt(dt)
-        incr = dt * np.broadcast_to(drift, (big_n, d)) + sqrt_eps * _matvec(sig, dw)
+        incr = dt * np.broadcast_to(drift, (big_n, d))
+        if np.any(sig):
+            dw = sb.brownian.standard_normal((big_n, d)) * np.sqrt(dt)
+            incr = incr + sqrt_eps * _matvec(sig, dw)
         if phi_active:
             phi_k = np.broadcast_to(control.phi[k], (big_n, d))
             incr = incr + dt * _matvec(sig, phi_k)
-        if js is not None:
+        if spec.has_jumps:
             g_stack = np.stack(
                 [
                     np.broadcast_to(
@@ -255,10 +252,15 @@ def _run_main(
                 ],
                 axis=1,
             )  # (N, C, d)
-            incr -= dt * np.einsum("ncd,c->nd", g_stack, masses)
+            incr -= dt * np.einsum("ncd,c->nd", g_stack, spec.intensity.masses)
         x = x + incr
-        if js is not None:
-            _apply_jumps(js, k, x, law, spec, eps)
+        if spec.has_jumps:
+            stream, time, cell, rank, proposed = sample_step(
+                spec.intensity, 1.0 / eps, t_k, dt, control.psi[k], hi, big_n, sb.jumps
+            )
+            n_jumps += stream.size
+            n_proposed += proposed
+            _apply_jumps(stream, time, cell, rank, x, law, spec, eps)
         if not np.isfinite(x).all() or np.abs(x).max() > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"particle system diverged at step {k}", step=k)
         rec.record(k + 1, x)
@@ -267,8 +269,8 @@ def _run_main(
         "warnings": warnings,
         "law_mode": law_mode,
         "rate_scale": 1.0 / eps,
-        "n_jumps": 0 if js is None else int(js.n_jumps),
-        "n_proposed": 0 if js is None else int(js.n_proposed),
+        "n_jumps": int(n_jumps),
+        "n_proposed": int(n_proposed),
     }
     return ParticleEnsemble(
         grid=grid,

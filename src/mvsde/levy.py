@@ -2,11 +2,17 @@
 
 Sampling is by thinning from the dominating intensity rate_scale * hi * nu:
 a proposed jump at (s, z_j) is accepted iff u * hi < psi(s, z_j) with
-u ~ U[0,1). The draw order is fixed -- counts, then jump-time uniforms, then
-acceptance uniforms, each as one bulk draw -- so two runs from the same
-generator state propose identical jumps and differ only through psi. The
-plain sampler is the controlled one with psi = 1, hi = 1 (every proposal
+u ~ U[0,1). The engine samples one time cell at a time (sample_step), so
+memory holds the jumps of one step, never the whole horizon. Per step the
+draw order is fixed: Poisson proposal counts per cell for all streams
+together (superposition), then a uniform stream index per proposal, then
+its in-step time uniform, then its acceptance uniform. Counts depend only
+on hi, never on psi, so two runs from the same generator state with the
+same hi propose identical jumps and differ only through psi. The plain
+sampler is the controlled one with psi = 1, hi = 1 (every proposal
 accepted), which makes the null-control coupling exact, bit for bit.
+sample_prm and sample_controlled_prm loop the same step sampler over the
+grid and return the whole horizon as one JumpStream.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from .errors import GridMismatchError, InvalidArgumentError, InvalidControlError
 __all__ = [
     "IntensityMeasure",
     "JumpStream",
+    "sample_step",
     "sample_prm",
     "sample_controlled_prm",
 ]
@@ -88,6 +95,45 @@ class JumpStream:
         return self.stream.size
 
 
+def sample_step(
+    intensity: IntensityMeasure,
+    rate_scale: float,
+    t0: float,
+    dt: float,
+    psi_k: np.ndarray,
+    hi: float,
+    n_streams: int,
+    rng: np.random.Generator,
+):
+    """Accepted jumps of one time cell [t0, t0 + dt) for n_streams streams.
+
+    Returns (stream, time, cell, rank, n_proposed), the arrays sorted by
+    (rank, stream): within a rank every stream appears at most once.
+    """
+    # Proposal counts per cell for all streams at once (superposition).
+    lam = n_streams * rate_scale * hi * dt * intensity.masses
+    cell = np.repeat(np.arange(intensity.n_cells), rng.poisson(lam))
+    n_proposed = cell.size
+    stream = rng.integers(0, n_streams, size=n_proposed)
+    # Times are drawn per proposal, independent of its cell and its stream.
+    time = t0 + rng.random(n_proposed) * dt
+    keep = rng.random(n_proposed) * hi < psi_k[cell]
+    stream, time, cell = stream[keep], time[keep], cell[keep]
+
+    # Sort by time, then by the unique key (stream, position in time order):
+    # each stream's jumps become contiguous and time-ordered. Rank them, then
+    # order by (rank, stream) through the unique key rank * n_streams + stream.
+    by_time = np.argsort(time)
+    idx = np.arange(stream.size)
+    order = by_time[np.argsort(stream[by_time] * stream.size + idx)]
+    stream, time, cell = stream[order], time[order], cell[order]
+    first = np.ones(stream.size, dtype=bool)
+    np.not_equal(stream[1:], stream[:-1], out=first[1:])
+    rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    order = np.argsort(rank * n_streams + stream)
+    return stream[order], time[order], cell[order], rank[order], n_proposed
+
+
 def _sample_thinned(
     grid: TimeGrid,
     intensity: IntensityMeasure,
@@ -101,56 +147,25 @@ def _sample_thinned(
         raise InvalidArgumentError("rate_scale must be positive and finite")
     if n_streams < 1:
         raise InvalidArgumentError("n_streams must be >= 1")
-    n_steps, n_cells = grid.n_steps, intensity.n_cells
-
-    # Draw 1: proposal counts per (stream, step, cell) under the dominating rate.
-    lam = rate_scale * hi * np.multiply.outer(grid.dt, intensity.masses)
-    counts = rng.poisson(np.broadcast_to(lam, (n_streams, n_steps, n_cells)))
-    flat = counts.reshape(-1)
-    n_proposed = int(flat.sum())
-    idx = np.repeat(np.arange(flat.size), flat)
-    cell = idx % n_cells
-    step = (idx // n_cells) % n_steps
-    stream = idx // (n_cells * n_steps)
-
-    # Draw 2: jump times, uniform within each proposal's time cell.
-    u_time = rng.random(n_proposed)
-    time = grid.nodes[step] + u_time * grid.dt[step]
-
-    # Draw 3: acceptance uniforms, then thin.
-    u_acc = rng.random(n_proposed)
-    keep = u_acc * hi < psi[step, cell]
-    stream, step, time, cell = stream[keep], step[keep], time[keep], cell[keep]
-
-    # Rank within (stream, step) in time order, then engine order (step, rank, stream).
-    order = np.lexsort((time, step, stream))
-    stream, step, time, cell = stream[order], step[order], time[order], cell[order]
-    group = stream * n_steps + step
-    if group.size:
-        new = np.empty(group.size, dtype=bool)
-        new[0] = True
-        np.not_equal(group[1:], group[:-1], out=new[1:])
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.append(starts, group.size))
-        rank = np.arange(group.size) - np.repeat(starts, sizes)
-    else:
-        rank = np.zeros(0, dtype=np.int64)
-    order = np.lexsort((stream, rank, step))
-    stream, step, time, cell, rank = (
-        stream[order], step[order], time[order], cell[order], rank[order],
-    )
-    step_offsets = np.searchsorted(step, np.arange(n_steps + 1))
+    steps = [
+        sample_step(
+            intensity, rate_scale, grid.nodes[k], grid.dt[k], psi[k], hi, n_streams, rng
+        )
+        for k in range(grid.n_steps)
+    ]
+    stream, time, cell, rank, proposed = zip(*steps)
+    sizes = [s.size for s in stream]
     return JumpStream(
         grid=grid,
         intensity=intensity,
         n_streams=n_streams,
-        stream=stream,
-        step=step,
-        time=time,
-        cell=cell,
-        rank=rank,
-        step_offsets=step_offsets,
-        n_proposed=n_proposed,
+        stream=np.concatenate(stream),
+        step=np.repeat(np.arange(grid.n_steps), sizes),
+        time=np.concatenate(time),
+        cell=np.concatenate(cell),
+        rank=np.concatenate(rank),
+        step_offsets=np.concatenate(([0], np.cumsum(sizes))),
+        n_proposed=int(sum(proposed)),
     )
 
 

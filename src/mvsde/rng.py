@@ -4,12 +4,15 @@ One master seed fans out through numpy's SeedSequence into two independent
 substreams, fixed in this order:
 
     index 0 -> brownian increments
-    index 1 -> jump sampling (counts, times, marks, acceptance uniforms)
+    index 1 -> jump sampling (per step: counts, stream indices, times,
+               acceptance uniforms)
 
 Every simulation entry point takes the master seed; re-running with the same
 seed reproduces trajectories bit for bit, including the split between plain
 and controlled jump sampling (both consume the jump stream in the same fixed
-draw order).
+draw order). The engine draws Brownian increments only at steps whose
+diffusion is not identically zero, so a model with sigma = 0 leaves the
+Brownian substream untouched.
 """
 from __future__ import annotations
 

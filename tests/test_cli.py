@@ -128,6 +128,8 @@ def test_verify_ldp_gate_and_jobs_stability(runner, tmp_path):
     out2 = runner.invoke(main, args + ["--jobs", "2", "--out", str(r2)])
     assert out2.exit_code == 0
     assert json.loads(r1.read_text()) == json.loads(r2.read_text())
+    manifest = json.loads(r1.read_text())["manifest"]
+    assert manifest["cells"] == 16 and manifest["target"] == "0.125"
     # absurd target with a tight tolerance trips the gate
     out3 = runner.invoke(
         main,
@@ -135,6 +137,21 @@ def test_verify_ldp_gate_and_jobs_stability(runner, tmp_path):
     )
     assert out3.exit_code == 4
     assert "FAIL" in out3.output
+
+
+def test_verify_mdp_manifest_records_target(runner, tmp_path):
+    report = tmp_path / "mdp.json"
+    out = runner.invoke(
+        main,
+        [
+            "verify-mdp", "--event", "half:1.0:0.5", "--eps-list", "0.01,0.004",
+            "--particles", "2000", "--steps", "50", "--seed", "1",
+            "--target", "auto", "--tol", "1.0", "--out", str(report),
+        ],
+    )
+    assert out.exit_code == 0, out.output
+    manifest = json.loads(report.read_text())["manifest"]
+    assert manifest["command"] == "verify-mdp" and manifest["target"] == "auto"
 
 
 def test_verify_limit_quick(runner):

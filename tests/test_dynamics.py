@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,21 @@ def test_pure_jump_terminal_is_count_minus_compensator(pure_jump):
     np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
     mean_terminal = ens.terminal[:, 0].mean()
     assert abs(mean_terminal) < 4 * np.sqrt(eps / 200)  # centered by design
+
+
+def test_jump_memory_does_not_grow_with_steps(pure_jump):
+    # jumps are sampled one step at a time, so peak memory is O(N * C) plus
+    # one step's jumps, not O(N * n_steps)
+    def peak(n_steps):
+        grid = make_time_grid(1.0, n_steps)
+        tracemalloc.start()
+        try:
+            simulate_mvsde(pure_jump, grid, 0.05, 20_000, seed=0, record="summary")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.5 * peak(100)
 
 
 def test_summary_record_matches_full(example11):

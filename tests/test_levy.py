@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvsde.core import Control, make_time_grid
 from mvsde.errors import GridMismatchError, InvalidArgumentError, InvalidControlError
-from mvsde.levy import IntensityMeasure, sample_controlled_prm, sample_prm
+from mvsde.levy import IntensityMeasure, sample_controlled_prm, sample_prm, sample_step
 
 
 def two_cell():
@@ -43,6 +43,40 @@ def test_plain_stream_layout_and_counts():
     # mean total count = rate_scale * total_mass * T per stream
     total = js.n_jumps / 4
     assert abs(total - 300.0) < 4 * np.sqrt(300.0)
+
+
+def test_step_sampler_cells_are_independent_of_time_and_rank():
+    # one step of length 1 at rate 2 on |nu| = 3: about 6 proposals per stream.
+    # Each jump's cell has law m_j / |nu| whatever its rank, and its in-step
+    # time is uniform whatever its cell.
+    m = two_cell()
+    n = 20_000
+    stream, time, cell, rank, n_proposed = sample_step(
+        m, 2.0, 0.0, 1.0, np.ones(2), 1.0, n, np.random.default_rng(8)
+    )
+    assert stream.size == n_proposed
+    share = m.masses / m.total_mass
+    for sel in (rank == 0, rank >= 1):
+        counts = np.bincount(cell[sel], minlength=2)
+        np.testing.assert_allclose(counts / sel.sum(), share, atol=0.02)
+    for j in range(2):
+        assert time[cell == j].mean() == pytest.approx(0.5, abs=0.02)
+    # engine order (rank, stream), and every stream's first jump is its earliest
+    np.testing.assert_array_equal(np.lexsort((stream, rank)), np.arange(stream.size))
+    first = np.full(n, np.inf)
+    np.minimum.at(first, stream, time)
+    np.testing.assert_array_equal(time[rank == 0], first[stream[rank == 0]])
+
+
+def test_stream_totals_are_poisson():
+    grid = make_time_grid(1.0, 20)
+    m = two_cell()
+    n = 4000
+    js = sample_prm(grid, m, 10.0, n, np.random.default_rng(5))
+    totals = np.bincount(js.stream, minlength=n)
+    mean = 10.0 * m.total_mass * 1.0
+    assert abs(totals.mean() - mean) < 4 * np.sqrt(mean / n)
+    assert totals.var() / totals.mean() == pytest.approx(1.0, abs=0.1)
 
 
 def test_ranks_are_time_order_within_stream_step():
