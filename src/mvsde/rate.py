@@ -10,9 +10,13 @@ grid subject to the event constraint on the skeleton, by an augmented
 Lagrangian (smooth one-sided PHR form, multiplier update
 lambda <- max(0, lambda + 2 rho g), rho doubled up to a ceiling per round)
 whose inner problems are solved with Barzilai-Borwein gradient steps under a
-nonmonotone backtracking rule; gradients are central finite differences in
-the raw parameters, with psi = exp(theta) keeping tilts positive. Several
-starts are run and ranked (feasible, cost, residual, start index).
+nonmonotone backtracking rule, with psi = exp(theta) keeping tilts positive.
+Gradients are exact: the costs are differentiated by hand, and the event
+excess by the adjoint of the implicit-trapezoid skeleton map that
+solve_ldp_skeleton solves (skeleton.ldp_vjp), so a gradient costs no extra
+skeleton solve. A stalled or diverging skeleton scores as infinite. Several
+starts are run and ranked (feasible, cost, residual, start index); each
+trace row counts its start's skeleton solves, gradients and ALM rounds.
 
 mdp_rate is exact: the moderate skeleton is linear in the control, so the
 terminal response matrix A is built by propagating every basis column at
@@ -38,6 +42,7 @@ from .skeleton import (
     PicardConfig,
     _mdp_coefficients,
     _propagate_mdp,
+    ldp_vjp,
     solve_ldp_skeleton,
     solve_limit_ode,
 )
@@ -189,7 +194,6 @@ class OptimizerConfig:
     outer_rounds: int = 16
     inner_iters: int = 80
     gtol: float = 1e-7
-    fd_rel_step: float = 1e-6
     theta_clip: float = 30.0
     feasibility_tol: float = 1e-6
     start_scale: float = 0.5
@@ -219,8 +223,28 @@ def _coarse_map(n_fine: int, n_coarse: int) -> np.ndarray:
     return np.minimum((np.arange(n_fine) * n_coarse) // n_fine, n_coarse - 1)
 
 
+def _excess_cotangent(event: EventSpec, path: Path):
+    """(node, vector): the excess moves by vector . dy(t_node) to first order."""
+    n = path.grid.n_steps
+    if event.kind == "halfspace":
+        return n, -np.asarray(event.normal, dtype=float)
+    if event.kind == "pin_terminal":
+        gap, node = path.terminal - event.target, n
+    else:
+        diff = path.values - event.ref_path.values
+        node = int(np.argmax(np.linalg.norm(diff, axis=1)))
+        gap = diff[node]
+    norm = float(np.linalg.norm(gap))
+    return node, (gap / norm if norm > 0.0 else np.zeros_like(gap))
+
+
 class _LdpProblem:
-    """Objective plumbing shared by all starts of one ldp_rate call."""
+    """Objective plumbing shared by all starts of one ldp_rate call.
+
+    Remembers its last evaluated point, so the gradient at an accepted
+    line-search point reuses that point's skeleton. Counts skeleton solves
+    and gradients for the trace.
+    """
 
     def __init__(self, spec, grid, event, config):
         self.spec, self.grid, self.event, self.config = spec, grid, event, config
@@ -228,9 +252,15 @@ class _LdpProblem:
         self.n_cells = spec.n_mark_cells
         self.k = min(config.control_cells, grid.n_steps)
         self.map = _coarse_map(grid.n_steps, self.k)
+        # first fine cell of each coarse cell
+        self.first_fine = np.searchsorted(self.map, np.arange(self.k))
+        self.cell_dt = np.add.reduceat(grid.dt, self.first_fine)
         self.n_params = self.k * (self.d + self.n_cells)
         self.limit = solve_limit_ode(spec, grid)
         self.picard = PicardConfig(raise_on_fail=False)
+        self.solves = 0
+        self.gradients = 0
+        self._last = None
 
     def expand(self, params: np.ndarray) -> Control:
         k, d, c = self.k, self.d, self.n_cells
@@ -249,47 +279,83 @@ class _LdpProblem:
         return Control(self.grid, phi, psi, psi_bounds=bounds)
 
     def evaluate(self, params: np.ndarray):
-        """-> (cost, excess, skeleton path | None); inf cost on blow-up."""
+        """-> (cost, excess, skeleton path | None); inf cost when the
+        skeleton diverges or its Picard iteration stalls."""
+        if self._last is not None and np.array_equal(self._last[0], params):
+            return self._last[1]
         control = self.expand(params)
+        self.solves += 1
         try:
             sol = solve_ldp_skeleton(
                 self.spec, self.grid, control, config=self.picard, limit_path=self.limit
             )
         except NumericError:
-            return np.inf, np.inf, None
-        cost = q1_cost(control) + q2_cost(control, self.spec.intensity)
-        return cost, self.event.excess(sol.path), sol.path
-
-
-def _alm_objective(problem, params, lam, rho):
-    cost, g, _ = problem.evaluate(params)
-    if not np.isfinite(cost):
-        return np.inf
-    hinge = max(0.0, g + lam / (2.0 * rho))
-    return cost + rho * hinge * hinge
-
-
-def _fd_gradient(fn, params, rel_step):
-    grad = np.empty_like(params)
-    for i in range(params.size):
-        h = rel_step * (1.0 + abs(params[i]))
-        up = params.copy()
-        dn = params.copy()
-        up[i] += h
-        dn[i] -= h
-        fu, fd = fn(up), fn(dn)
-        if not (np.isfinite(fu) and np.isfinite(fd)):
-            grad[i] = 0.0
+            sol = None
+        if sol is None or not sol.converged:
+            out = (np.inf, np.inf, None)
         else:
-            grad[i] = (fu - fd) / (2.0 * h)
-    return grad
+            cost = q1_cost(control) + q2_cost(control, self.spec.intensity)
+            out = (cost, self.event.excess(sol.path), sol.path)
+        self._last = (params.copy(), out)
+        return out
+
+    def gradient(self, params: np.ndarray, weight: float) -> np.ndarray:
+        """Gradient of cost + weight * excess in the raw parameters, at a
+        point whose cost is finite."""
+        self.gradients += 1
+        k, d, c = self.k, self.d, self.n_cells
+        phi = params[: k * d].reshape(k, d)
+        grad = np.empty_like(params)
+        grad[: k * d] = (phi * self.cell_dt[:, None]).ravel()
+        if c:
+            raw = params[k * d :].reshape(k, c)
+            theta = np.clip(raw, -self.config.theta_clip, self.config.theta_clip)
+            # dpsi/dtheta, flat where theta is clipped; d/dpsi ell(psi) = theta.
+            dpsi_dtheta = np.exp(theta) * (np.abs(raw) <= self.config.theta_clip)
+            masses = self.spec.intensity.masses
+            dtheta = theta * dpsi_dtheta * masses * self.cell_dt[:, None]
+        if weight > 0.0:
+            _, _, path = self.evaluate(params)
+            node, cotangent = _excess_cotangent(self.event, path)
+            dphi, dpsi = ldp_vjp(
+                self.spec, self.grid, self.expand(params), path, self.limit,
+                node, cotangent,
+            )
+            grad[: k * d] += weight * np.add.reduceat(dphi, self.first_fine).ravel()
+            if c:
+                dpsi = np.add.reduceat(dpsi, self.first_fine)
+                dtheta = dtheta + weight * dpsi_dtheta * dpsi
+        if c:
+            grad[k * d :] = dtheta.ravel()
+        return grad
 
 
-def _bb_minimize(fn, params, config):
+def _alm_objective(problem, lam, rho):
+    """The augmented Lagrangian cost + rho max(0, g + lam / 2 rho)^2 as a
+    (value, gradient) pair of callables on the raw parameters."""
+
+    def hinge(params):
+        cost, g, _ = problem.evaluate(params)
+        return cost, max(0.0, g + lam / (2.0 * rho))  # inf with the cost
+
+    def value(params):
+        cost, h = hinge(params)
+        return cost + rho * h * h
+
+    def gradient(params):
+        cost, h = hinge(params)
+        if not np.isfinite(cost):
+            return np.zeros_like(params)
+        return problem.gradient(params, 2.0 * rho * h)
+
+    return value, gradient
+
+
+def _bb_minimize(value, gradient, params, config):
     """Barzilai-Borwein descent with a nonmonotone backtracking rule."""
     p = params.copy()
-    f = fn(p)
-    g = _fd_gradient(fn, p, config.fd_rel_step)
+    f = value(p)
+    g = gradient(p)
     history = [f]
     step = 1.0 / (np.linalg.norm(g) + 1.0)
     for _ in range(config.inner_iters):
@@ -301,14 +367,14 @@ def _bb_minimize(fn, params, config):
         accepted = False
         for _ls in range(40):
             p_new = p - t * g
-            f_new = fn(p_new)
+            f_new = value(p_new)
             if f_new <= ref - 1e-4 * t * gnorm2:
                 accepted = True
                 break
             t *= 0.5
         if not accepted:
             break
-        g_new = _fd_gradient(fn, p_new, config.fd_rel_step)
+        g_new = gradient(p_new)
         s = p_new - p
         y = g_new - g
         sy = float(s @ y)
@@ -320,16 +386,17 @@ def _bb_minimize(fn, params, config):
 
 
 def _alm_solve(problem, params0, config):
+    """-> (params, ALM rounds run)."""
     lam, rho = 0.0, config.rho0
     p = params0.copy()
-    for _round in range(config.outer_rounds):
-        p, _ = _bb_minimize(lambda q: _alm_objective(problem, q, lam, rho), p, config)
+    for rounds in range(1, config.outer_rounds + 1):
+        p, _ = _bb_minimize(*_alm_objective(problem, lam, rho), p, config)
         _, g, _ = problem.evaluate(p)
         if g <= config.feasibility_tol and lam > 0.0:
             break
         lam = max(0.0, lam + 2.0 * rho * max(g, -lam / (2.0 * rho)))
         rho = min(rho * config.rho_growth, config.rho_max)
-    return p
+    return p, rounds
 
 
 def ldp_rate(
@@ -347,16 +414,20 @@ def ldp_rate(
             p0 = np.zeros(problem.n_params)
         else:
             p0 = rng.normal(0.0, config.start_scale, problem.n_params)
-        p = _alm_solve(problem, p0, config)
-        cost, g, _path = problem.evaluate(p)
+        solves, gradients = problem.solves, problem.gradients
+        p, rounds = _alm_solve(problem, p0, config)
+        cost, g, path = problem.evaluate(p)
+        counts = {
+            "skeleton_solves": problem.solves - solves,
+            "gradients": problem.gradients - gradients,
+            "alm_rounds": rounds,
+        }
         feasible = g <= config.feasibility_tol
-        candidates.append((not feasible, cost, max(g, 0.0), start, p))
+        candidates.append((not feasible, cost, max(g, 0.0), start, p, path, counts))
     candidates.sort(key=lambda row: row[:4])
-    infeasible, cost, residual, start, p = candidates[0]
-    control = problem.expand(p)
-    sol = solve_ldp_skeleton(
-        spec, grid, control, config=problem.picard, limit_path=problem.limit
-    )
+    # Start 0 begins at the null control, an exact skeleton fixed point, and
+    # descent accepts finite points only, so the best row has a path.
+    infeasible, cost, residual, start, p, path, _ = candidates[0]
     trace = [
         {
             "start": s,
@@ -364,13 +435,14 @@ def ldp_rate(
             "cost": c,
             "residual": r,
             "selected": s == start,
+            **counts,
         }
-        for bad, c, r, s, _ in sorted(candidates, key=lambda row: row[3])
+        for bad, c, r, s, _, _, counts in sorted(candidates, key=lambda row: row[3])
     ]
     return RateResult(
         value=float(cost),
-        control=control,
-        skeleton=sol.path,
+        control=problem.expand(p),
+        skeleton=path,
         residual=float(residual),
         feasible=not infeasible,
         trace=trace,

@@ -9,7 +9,9 @@ The large-deviation skeleton for a control (phi, psi) solves
 with the law frozen at the limit path xbar. It is computed in deviation form,
 y = xbar + (integral of the difference against the limit drift), so the null
 control is an exact fixed point of the Picard map and the discretization
-error of the limit path does not leak into the correction term.
+error of the limit path does not leak into the correction term. ldp_vjp
+differentiates that discrete (implicit-trapezoid) map exactly, by an adjoint
+sweep, for the rate optimizer's gradients.
 
 The moderate-deviation skeleton is the linearization of the large-deviation
 skeleton at the null control: m' = A(t) m + sigma(t) phi + sum_j G(t, z_j)
@@ -37,6 +39,7 @@ __all__ = [
     "solve_limit_ode",
     "solve_ldp_skeleton",
     "jacobian_b_x",
+    "ldp_vjp",
     "solve_mdp_skeleton",
 ]
 
@@ -108,6 +111,19 @@ def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("nij,nj->ni", mat, vec)
 
 
+def _coefficients(spec: ModelSpec, t, y: np.ndarray, law: LawSummary):
+    """Drift (n, d), diffusion ((d, d) or (n, d, d)) and the jump columns
+    (n, C, d), one per mark atom, at a row batch y of states."""
+    n, d = y.shape
+    b = np.asarray(spec.drift(t, y, law), dtype=float).reshape(n, d)
+    sig = np.asarray(spec.diffusion(t, y, law), dtype=float)
+    atoms = spec.intensity.atoms if spec.has_jumps else ()
+    g = np.zeros((n, len(atoms), d))
+    for j, z in enumerate(atoms):
+        g[:, j] = np.asarray(spec.jump(t, y, law, z), dtype=float).reshape(n, d)
+    return b, sig, g
+
+
 def solve_ldp_skeleton(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -140,20 +156,13 @@ def solve_ldp_skeleton(
     iterations = 0
     residual = np.inf
     for iterations in range(1, config.max_iter + 1):
-        f = np.asarray(spec.drift(t, y, law), dtype=float).reshape(n + 1, d) - b_base
-        sig = np.asarray(spec.diffusion(t, y, law), dtype=float)
+        b, sig, g_nodes = _coefficients(spec, t, y, law)
+        f = b - b_base
         sig_lo, sig_hi = (sig, sig) if sig.ndim == 2 else (sig[:-1], sig[1:])
         # phi is constant on each cell, so it multiplies both cell endpoints.
         f_lo = f[:-1] + _matvec(sig_lo, phi)
         f_hi = f[1:] + _matvec(sig_hi, phi)
         if spec.has_jumps:
-            g_nodes = np.stack(
-                [
-                    np.asarray(spec.jump(t, y, law, z), dtype=float).reshape(n + 1, d)
-                    for z in spec.intensity.atoms
-                ],
-                axis=1,
-            )  # (n+1, C, d)
             f_lo = f_lo + np.einsum("ncd,nc->nd", g_nodes[:-1], tilt_w)
             f_hi = f_hi + np.einsum("ncd,nc->nd", g_nodes[1:], tilt_w)
         increments = 0.5 * dt * (f_lo + f_hi)
@@ -176,24 +185,99 @@ def solve_ldp_skeleton(
     )
 
 
-def jacobian_b_x(spec: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
-    """Partial jacobian d_x b(t, x, d_x): the law stays frozen at the point
-    mass on x while the state moves, by central differences."""
-    x = np.reshape(np.asarray(x, dtype=float), (spec.dim,))
-    law = LawSummary.dirac(x)
+def jacobian_b_x(
+    spec: ModelSpec,
+    t,
+    x: np.ndarray,
+    law: LawSummary | None = None,
+    phi: np.ndarray | None = None,
+    tilt_w: np.ndarray | None = None,
+) -> np.ndarray:
+    """State jacobian of the controlled drift b + sigma phi + sum_j G_j tilt_w_j
+    by central differences, the law frozen while the state moves.
 
-    def f(y: np.ndarray) -> np.ndarray:
-        return np.reshape(
-            np.asarray(spec.drift(t, y[None, :], law), dtype=float), (spec.dim,)
-        )
+    x is one state (d,), giving (d, d), or a row batch (n, d) with t a scalar
+    or (n,) array, giving (n, d, d). The law defaults to the point mass on x
+    and the control (phi (n, d), tilt_w (n, C)) to none, which is the moderate
+    skeleton's A = d_x b(t, x, d_x); ldp_vjp passes the skeleton's control
+    and the law frozen at the limit path.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.reshape(x, (-1, spec.dim))
+    n, d = rows.shape
+    if law is None:
+        law = LawSummary.dirac(rows)
 
-    jac = np.empty((spec.dim, spec.dim))
-    for i in range(spec.dim):
-        h = 1e-6 * (1.0 + abs(x[i]))
-        e = np.zeros(spec.dim)
-        e[i] = h
-        jac[:, i] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return jac
+    def field(y: np.ndarray) -> np.ndarray:
+        if phi is None:
+            return np.asarray(spec.drift(t, y, law), dtype=float).reshape(n, d)
+        b, sig, g = _coefficients(spec, t, y, law)
+        return b + _matvec(sig, phi) + np.einsum("ncd,nc->nd", g, tilt_w)
+
+    h = 1e-6 * (1.0 + np.abs(rows))
+    jac = np.empty((n, d, d))
+    for i in range(d):
+        step = np.zeros((n, d))
+        step[:, i] = h[:, i]
+        jac[:, :, i] = (field(rows + step) - field(rows - step)) / (2.0 * h[:, i, None])
+    return jac if x.ndim > 1 else jac[0]
+
+
+def ldp_vjp(
+    spec: ModelSpec,
+    grid: TimeGrid,
+    control: Control,
+    path: Path,
+    limit_path: Path,
+    node: int,
+    cotangent: np.ndarray,
+):
+    """Gradient of cotangent . y(t_node) in the fine-cell controls, where y is
+    the skeleton path of the control (the fixed point solve_ldp_skeleton
+    returns) and limit_path the limit it froze the law at.
+
+    Differentiates the implicit-trapezoid map itself: the tangent of cell k
+    solves (I - dt/2 J_hi) dy_{k+1} = (I + dt/2 J_lo) dy_k + dt/2 (F_lo + F_hi)_u du_k
+    with J = d_y [b + sigma phi_k + sum_j G_j (psi_kj - 1) nu_j] at the cell's
+    two end nodes. The step maps come from one batched solve and their
+    products from a doubling scan (log2(node) batched matmuls), so nothing
+    loops over steps. Returns dphi (n_steps, d) and dpsi (n_steps, C).
+    """
+    n, d, c = grid.n_steps, spec.dim, spec.n_mark_cells
+    dphi, dpsi = np.zeros((n, d)), np.zeros((n, c))
+    if node == 0:
+        return dphi, dpsi
+    masses = spec.intensity.masses if c else np.zeros(0)
+    # Rows 0..n-1 are the cells' left ends, rows n..2n-1 their right ends.
+    ends = np.concatenate([np.arange(n), np.arange(1, n + 1)])
+    t, y = grid.nodes[ends], path.values[ends]
+    law = LawSummary.dirac(limit_path.values[ends])
+    phi = np.concatenate([control.phi, control.phi])
+    tilt_w = np.concatenate([(control.psi - 1.0) * masses] * 2)
+    jac = jacobian_b_x(spec, t, y, law, phi, tilt_w)
+    _, sig, g = _coefficients(spec, t, y, law)
+    sig = np.broadcast_to(sig, (2 * n, d, d))
+
+    lo, hi = slice(0, node), slice(n, n + node)
+    half = 0.5 * grid.dt[:node, None, None]
+    eye = np.eye(d)
+    eyes = np.broadcast_to(eye, (node, d, d))
+    maps = np.linalg.solve(
+        eye - half * jac[hi], np.concatenate([eye + half * jac[lo], eyes], axis=2)
+    )
+    step, inv = maps[..., :d], maps[..., d:]
+    # Suffix products: step[k] becomes step[node-1] @ ... @ step[k].
+    shift = 1
+    while shift < node:
+        step[:-shift] = step[shift:] @ step[:-shift]
+        shift *= 2
+    adjoint = np.empty((node, d))  # adjoint of dy_{k+1}
+    adjoint[-1] = cotangent
+    adjoint[:-1] = np.einsum("kij,i->kj", step[1:], cotangent)
+    source = np.einsum("kij,ki->kj", inv, adjoint)
+    dphi[:node] = half[:, 0] * np.einsum("kij,ki->kj", sig[lo] + sig[hi], source)
+    dpsi[:node] = half[:, 0] * np.einsum("kcd,kd->kc", g[lo] + g[hi], source) * masses
+    return dphi, dpsi
 
 
 def _mdp_coefficients(spec: ModelSpec, grid: TimeGrid):

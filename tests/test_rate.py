@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsde import rate
 from mvsde.core import (
     Control,
     MdpControl,
@@ -14,6 +15,7 @@ from mvsde.core import (
 )
 from mvsde.errors import InvalidArgumentError, UnsupportedError
 from mvsde.levy import IntensityMeasure
+from mvsde.models import get_model
 from mvsde.rate import (
     EventSpec,
     OptimizerConfig,
@@ -24,7 +26,7 @@ from mvsde.rate import (
     q1_cost,
     q2_cost,
 )
-from mvsde.skeleton import solve_mdp_skeleton
+from mvsde.skeleton import PicardConfig, solve_mdp_skeleton
 
 E = 2.718281828459045
 
@@ -99,17 +101,127 @@ def test_halfspace_indicator_forgives_float_dust():
     assert hits.tolist() == [True, True, False]
 
 
-def test_ldp_rate_gaussian_pin(example11):
+def _counting_solves(monkeypatch):
+    calls = []
+    solve = rate.solve_ldp_skeleton
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rate, "solve_ldp_skeleton", counted)
+    return calls
+
+
+def test_ldp_rate_gaussian_pin(example11, monkeypatch):
     # brownian-only pin: cheapest drift phi is constant, J = (x_T - e)^2 / 2
     grid = make_time_grid(1.0, 400)
     event = EventSpec.pin([E + 0.5], tol=1e-3)
-    res = ldp_rate(example11, grid, event, OptimizerConfig(seed=0))
+    calls = _counting_solves(monkeypatch)
+    config = OptimizerConfig(seed=0)
+    res = ldp_rate(example11, grid, event, config)
     assert res.feasible
     assert res.value == pytest.approx(0.5 * 0.499**2, abs=2e-5)
     assert res.residual < 1e-6
     assert res.skeleton.terminal[0] == pytest.approx(E + 0.499, abs=1e-3)
     selected = [t for t in res.trace if t["selected"]]
     assert len(selected) == 1
+    # per-start work counts: every solve is attributed to one start, and each
+    # ALM round takes at least one gradient
+    keys = ("skeleton_solves", "gradients", "alm_rounds")
+    counts = [tuple(t[key] for key in keys) for t in res.trace]
+    for solves, grads, rounds in counts:
+        assert all(type(v) is int for v in (solves, grads, rounds))
+        assert 1 <= rounds <= config.outer_rounds
+        assert grads >= rounds and solves >= 1
+    assert sum(solves for solves, _, _ in counts) == len(calls)
+    again = ldp_rate(example11, grid, event, config)
+    assert again.trace == res.trace
+
+
+def _fd_gradient(fn, params, rel_step=1e-6):
+    """Central finite differences: the oracle for the optimizer's gradient."""
+    grad = np.empty_like(params)
+    for i in range(params.size):
+        h = rel_step * (1.0 + abs(params[i]))
+        up = params.copy()
+        dn = params.copy()
+        up[i] += h
+        dn[i] -= h
+        grad[i] = (fn(up) - fn(dn)) / (2.0 * h)
+    return grad
+
+
+def _far_event(kind, limit):
+    """An event out of reach of small controls, so the ALM hinge is active."""
+    end = float(limit.terminal[0])
+    if kind == "halfspace":
+        return EventSpec.halfspace([1.0], end + 2.0)
+    if kind == "pin_terminal":
+        return EventSpec.pin([end + 2.0], tol=1e-3)
+    shifted = limit.values + 0.5 + limit.grid.nodes[:, None]
+    ref = Path(limit.grid, shifted, kind="linear")
+    return EventSpec.pin_path(ref, tol=0.01)
+
+
+@pytest.mark.parametrize(
+    "model, kind, clipped",
+    [
+        (model, kind, False)
+        for model in ("example11", "pure_jump", "logistic_mf")
+        for kind in ("halfspace", "pin_terminal", "pin_path")
+    ]
+    + [("logistic_mf", "halfspace", True)],
+)
+def test_ldp_gradient_matches_finite_differences(model, kind, clipped):
+    spec = get_model(model)
+    grid = make_time_grid(1.0, 60)
+    config = OptimizerConfig(control_cells=6)
+    limit = rate.solve_limit_ode(spec, grid)
+    problem = rate._LdpProblem(spec, grid, _far_event(kind, limit), config)
+    params = np.random.default_rng(7).normal(0.0, 0.3, problem.n_params)
+    if clipped:
+        params[-2] = -(config.theta_clip + 1.0)
+    lam, rho = 0.5, 10.0
+    _, g, _ = problem.evaluate(params)
+    assert g + lam / (2.0 * rho) > 0.0
+    value, gradient = rate._alm_objective(problem, lam, rho)
+    exact = gradient(params)
+    np.testing.assert_allclose(exact, _fd_gradient(value, params), rtol=0, atol=1e-6)
+    if clipped:
+        assert exact[-2] == 0.0
+
+
+def test_ldp_rate_reuses_known_skeletons(pure_jump, monkeypatch):
+    # gradients come from the adjoint of the cached path: finite differences
+    # took 16,384 solves for this call
+    calls = _counting_solves(monkeypatch)
+    grid = make_time_grid(1.0, 400)
+    res = ldp_rate(
+        pure_jump, grid, EventSpec.halfspace([1.0], 1.0),
+        OptimizerConfig(control_cells=16, seed=3),
+    )
+    assert res.feasible
+    assert len(calls) <= 1000
+    assert sum(t["skeleton_solves"] for t in res.trace) == len(calls)
+
+
+def test_stalled_skeleton_scores_as_blow_up(logistic):
+    grid = make_time_grid(1.0, 60)
+    problem = rate._LdpProblem(
+        logistic, grid, EventSpec.halfspace([1.0], 1.5),
+        OptimizerConfig(control_cells=6),
+    )
+    problem.picard = PicardConfig(max_iter=1, raise_on_fail=False)
+    params = np.full(problem.n_params, 0.3)
+    cost, g, path = problem.evaluate(params)
+    assert cost == np.inf and g == np.inf and path is None
+    value, gradient = rate._alm_objective(problem, 0.0, 10.0)
+    assert value(params) == np.inf
+    assert not gradient(params).any()
+    # the null control is an exact fixed point after one sweep
+    cost, g, path = problem.evaluate(np.zeros(problem.n_params))
+    assert cost == 0.0 and path is not None
 
 
 def test_ldp_rate_halfspace(example11):
