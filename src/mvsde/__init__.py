@@ -18,9 +18,11 @@ from .core import (
     probe_drift_monotonicity,
 )
 from .dynamics import (
+    Lane,
     ParticleEnsemble,
     simulate_controlled_frozen,
     simulate_controlled_selfconsistent,
+    simulate_lanes,
     simulate_mdp_controlled,
     simulate_mvsde,
 )
@@ -90,6 +92,7 @@ __all__ = [
     # stochastic simulation
     "ParticleEnsemble", "simulate_mvsde", "simulate_controlled_frozen",
     "simulate_controlled_selfconsistent", "simulate_mdp_controlled",
+    "Lane", "simulate_lanes",
     # rate functions
     "EventSpec", "OptimizerConfig", "RateResult",
     "ell", "q1_cost", "q2_cost", "mdp_cost", "ldp_rate", "mdp_rate",

@@ -1,10 +1,16 @@
 """Interacting particle systems under small Brownian and Poisson noise.
 
-One Euler engine drives every lane; the lanes differ only in where each step
-reads its law (the live particle cloud, or a frozen flow) and in which
-control it applies. The plain system is literally the controlled engine fed
-the null control, so plain and null-controlled runs from one seed agree bit
-for bit.
+One Euler engine (simulate_lanes) drives every lane; the lanes differ only
+in where each step reads its law (the lane's own cloud, the cloud of the
+companion lane 0, or a frozen flow) and in which control they apply. The
+plain system is literally the controlled engine fed the null control, so
+plain and null-controlled runs from one seed agree bit for bit.
+
+Several lanes step in lockstep over one set of draws per step: they share
+one Brownian increment and one jump proposal set, drawn at the largest psi
+bound of the lanes and thinned by each lane with its own psi. A lockstep
+lane is bit-identical to its solo run when its psi bound equals the shared
+one; otherwise it is equal in law.
 
 Per step k, with the law frozen at the left endpoint:
 
@@ -15,11 +21,11 @@ Per step k, with the law frozen at the left endpoint:
 
 followed by the step's accepted jumps, X += eps * G, applied in time
 order per particle (grouped by occurrence rank, vectorized across particles).
-The step's jumps are sampled inside the loop (levy.sample_step), so memory
-holds one step's jumps, not the horizon's. The Brownian increment is drawn
-only when the step's sigma is not identically zero; at sigma = 0 the
-Brownian substream is left untouched. Jumps arrive at the tilted rate
-psi / eps; their compensator
+The step's jumps are sampled inside the loop (levy.propose_step and
+levy.thin_step), so memory holds one step's jumps, not the horizon's. The
+Brownian increment is drawn only when some lane's sigma is not identically
+zero at that step; otherwise the Brownian substream is left untouched.
+Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
 
@@ -33,8 +39,6 @@ A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
 import numpy as np
 
 from .core import (
@@ -47,19 +51,20 @@ from .core import (
     null_control,
 )
 from .errors import (
-    DivergenceError,
     GridMismatchError,
     InvalidArgumentError,
     InvalidControlError,
 )
 from .levy import sample_controlled_prm  # noqa: F401 -- perfbench/tracing.py wraps it here
-from .levy import sample_step
+from .levy import propose_step, thin_step
 from .rng import SeedBlock
-from .skeleton import _DIVERGENCE_LIMIT, _field, _guard, _matvec
+from .skeleton import _field, _guard, _matvec
 from .skeleton import solve_limit_ode  # noqa: F401 -- perfbench/tracing.py wraps it here
 
 __all__ = [
+    "Lane",
     "ParticleEnsemble",
+    "simulate_lanes",
     "simulate_mvsde",
     "simulate_controlled_frozen",
     "simulate_controlled_selfconsistent",
@@ -93,21 +98,10 @@ class ParticleEnsemble:
             raise InvalidArgumentError("law_at needs record='full'")
         return LawSummary.empirical(self.paths[k])
 
-    def law_flow(self) -> Callable[[int], LawSummary]:
-        if self.paths is None:
-            raise InvalidArgumentError("law_flow needs record='full'")
-        paths = self.paths
-        return lambda k: LawSummary.empirical(paths[k])
-
     def mean_path(self) -> np.ndarray:
         if self.paths is None:
             raise InvalidArgumentError("mean_path needs record='full'")
         return self.paths.mean(axis=1)
-
-    def particle_path(self, i: int) -> Path:
-        if self.paths is None:
-            raise InvalidArgumentError("particle_path needs record='full'")
-        return Path(self.grid, self.paths[:, i, :], kind="linear")
 
 
 class _Recorder:
@@ -145,24 +139,42 @@ def _as_reference(reference, grid: TimeGrid, dim: int):
     return ref
 
 
-def _law_flow_adapter(law_flow, grid: TimeGrid) -> Callable[[int], LawSummary]:
-    if isinstance(law_flow, ParticleEnsemble):
-        if law_flow.grid != grid:
+@dataclass(frozen=True)
+class Lane:
+    """One particle cloud of simulate_lanes. law is where its coefficients
+    read the law each step: "self" (its own cloud), "companion" (lane 0's
+    cloud at the step's left endpoint), a Path (point masses along it) or a
+    callable step -> LawSummary. control None is the null control."""
+
+    control: Control | None = None
+    law: object = "self"
+    reference: object = None
+    record: str = "summary"
+
+
+def _law_source(law, grid: TimeGrid):
+    if isinstance(law, str) and law in ("self", "companion"):
+        return law
+    if isinstance(law, Path):
+        if law.grid != grid:
             raise GridMismatchError("frozen flow lives on a different grid")
-        return law_flow.law_flow()
-    if isinstance(law_flow, Path):
-        if law_flow.grid != grid:
-            raise GridMismatchError("frozen flow lives on a different grid")
-        values = law_flow.values
+        values = law.values
         return lambda k: LawSummary.dirac(values[k])
-    if callable(law_flow):
-        return law_flow
-    if isinstance(law_flow, Sequence):
-        flows = list(law_flow)
-        if len(flows) < grid.n_steps:
-            raise InvalidArgumentError("frozen flow needs a law per time step")
-        return lambda k: flows[k]
+    if callable(law):
+        return law
     raise InvalidArgumentError("cannot interpret the frozen law flow")
+
+
+def _lane_control(control, spec: ModelSpec, grid: TimeGrid) -> Control:
+    if control is None:
+        return null_control(grid, spec.dim, spec.n_mark_cells)
+    if control.grid != grid:
+        raise GridMismatchError("control grid does not match the simulation grid")
+    if control.dim != spec.dim:
+        raise InvalidControlError("control dimension does not match the model")
+    if spec.has_jumps and control.n_mark_cells != spec.intensity.n_cells:
+        raise InvalidControlError("control psi does not cover the mark cells")
+    return control
 
 
 def _check_eps(eps: float, warnings: list):
@@ -192,98 +204,93 @@ def _apply_jumps(streams, times, cells, ranks, x, law, spec, eps):
         r += 1
 
 
-def _run_main(
+def simulate_lanes(
     spec: ModelSpec,
     grid: TimeGrid,
     eps: float,
+    lanes: list,
     n_particles: int,
     seed: int,
-    law_mode: str,
-    control: Control | None,
-    law_flow,
-    record: str,
-    reference,
-) -> ParticleEnsemble:
+) -> list:
+    """Step the lanes in lockstep over one set of draws per step (see the
+    module docstring); returns one ParticleEnsemble per lane."""
     warnings: list = []
     _check_eps(eps, warnings)
     if n_particles < 1:
         raise InvalidArgumentError("n_particles must be >= 1")
-    if control is None:
-        control = null_control(grid, spec.dim, spec.n_mark_cells)
-    if control.grid != grid:
-        raise GridMismatchError("control grid does not match the simulation grid")
-    if control.dim != spec.dim:
-        raise InvalidControlError("control dimension does not match the model")
-    if spec.has_jumps and control.n_mark_cells != spec.intensity.n_cells:
-        raise InvalidControlError("control psi does not cover the mark cells")
-    flow = _law_flow_adapter(law_flow, grid) if law_mode == "frozen" else None
+    controls = [_lane_control(lane.control, spec, grid) for lane in lanes]
+    sources = [_law_source(lane.law, grid) for lane in lanes]
 
     n, d, big_n = grid.n_steps, spec.dim, n_particles
     sb = SeedBlock.from_seed(seed)
-    hi = control.psi_bounds[1]
-    n_jumps = n_proposed = 0
-    rec = _Recorder(record, n + 1, big_n, d, _as_reference(reference, grid, d))
-    x = np.tile(spec.initial, (big_n, 1))
-    rec.record(0, x)
+    hi = max(ctl.psi_bounds[1] for ctl in controls)
+    n_jumps = [0] * len(lanes)
+    n_proposed = 0
+    recs = [
+        _Recorder(lane.record, n + 1, big_n, d, _as_reference(lane.reference, grid, d))
+        for lane in lanes
+    ]
+    xs = [np.tile(spec.initial, (big_n, 1)) for _ in lanes]
+    for rec, x in zip(recs, xs):
+        rec.record(0, x)
     sqrt_eps = float(np.sqrt(eps))
-    phi_active = bool(control.phi.any())
+    phi_active = [bool(ctl.phi.any()) for ctl in controls]
 
     for k in range(n):
         t_k = float(grid.nodes[k])
         dt = float(grid.dt[k])
-        law = LawSummary.empirical(x) if law_mode == "self" else flow(k)
-        drift = np.asarray(spec.drift(t_k, x, law), dtype=float)
-        sig = spec.diffusion(t_k, x, law)
-        incr = dt * np.broadcast_to(drift, (big_n, d))
-        if np.any(sig):
+        # every lane reads its law before any lane moves
+        laws = [
+            src(k) if callable(src) else LawSummary.empirical(x if src == "self" else xs[0])
+            for x, src in zip(xs, sources)
+        ]
+        sigs = [spec.diffusion(t_k, x, law) for x, law in zip(xs, laws)]
+        if any(np.any(sig) for sig in sigs):
             dw = sb.brownian.standard_normal((big_n, d)) * np.sqrt(dt)
-            incr = incr + sqrt_eps * _matvec(sig, dw)
-        if phi_active:
-            phi_k = np.broadcast_to(control.phi[k], (big_n, d))
-            incr = incr + dt * _matvec(sig, phi_k)
         if spec.has_jumps:
-            g_stack = np.stack(
-                [
-                    np.broadcast_to(
-                        np.asarray(spec.jump(t_k, x, law, z), dtype=float),
-                        (big_n, d),
-                    )
-                    for z in spec.intensity.atoms
-                ],
-                axis=1,
-            )  # (N, C, d)
-            incr -= dt * np.einsum("ncd,c->nd", g_stack, spec.intensity.masses)
-        x = x + incr
-        if spec.has_jumps:
-            stream, time, cell, rank, proposed = sample_step(
-                spec.intensity, 1.0 / eps, t_k, dt, control.psi[k], hi, big_n, sb.jumps
-            )
-            n_jumps += stream.size
-            n_proposed += proposed
-            _apply_jumps(stream, time, cell, rank, x, law, spec, eps)
-        if not np.isfinite(x).all() or np.abs(x).max() > _DIVERGENCE_LIMIT:
-            raise DivergenceError(f"particle system diverged at step {k}", step=k)
-        rec.record(k + 1, x)
+            proposal = propose_step(spec.intensity, 1.0 / eps, t_k, dt, hi, big_n, sb.jumps)
+            n_proposed += proposal[0].size
+        for i, (x, law, sig, ctl) in enumerate(zip(xs, laws, sigs, controls)):
+            drift = np.asarray(spec.drift(t_k, x, law), dtype=float)
+            incr = dt * np.broadcast_to(drift, (big_n, d))
+            if np.any(sig):
+                incr = incr + sqrt_eps * _matvec(sig, dw)
+            if phi_active[i]:
+                # a (d, d) sigma gives one (1, d) row sigma phi_k for all particles
+                row = ctl.phi[k][None]
+                phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
+                incr = incr + dt * _matvec(sig, phi_k)
+            if spec.has_jumps:
+                g_stack = np.stack(
+                    [
+                        np.broadcast_to(
+                            np.asarray(spec.jump(t_k, x, law, z), dtype=float),
+                            (big_n, d),
+                        )
+                        for z in spec.intensity.atoms
+                    ],
+                    axis=1,
+                )  # (N, C, d)
+                incr -= dt * np.einsum("ncd,c->nd", g_stack, spec.intensity.masses)
+            x = x + incr
+            if spec.has_jumps:
+                stream, time, cell, rank = thin_step(proposal, ctl.psi[k])
+                n_jumps[i] += stream.size
+                _apply_jumps(stream, time, cell, rank, x, law, spec, eps)
+            _guard(x, k, "particle system")
+            recs[i].record(k + 1, x)
+            xs[i] = x
 
-    meta = {
-        "warnings": warnings,
-        "law_mode": law_mode,
-        "rate_scale": 1.0 / eps,
-        "n_jumps": int(n_jumps),
-        "n_proposed": int(n_proposed),
-    }
-    return ParticleEnsemble(
-        grid=grid,
-        eps=eps,
-        n_particles=big_n,
-        dim=d,
-        seed=int(seed),
-        kind="state",
-        terminal=x,
-        paths=rec.paths,
-        sup_sq=rec.sup_sq,
-        meta=meta,
-    )
+    return [
+        ParticleEnsemble(grid, eps, big_n, d, int(seed), "state", x, rec.paths, rec.sup_sq, {
+            "warnings": list(warnings),
+            "law_mode": src if isinstance(src, str) else "frozen",
+            "rate_scale": 1.0 / eps,
+            "n_jumps": int(jumps),
+            "n_proposed": int(n_proposed),
+        })
+        for x, rec, src, jumps in zip(xs, recs, sources, n_jumps)
+    ]
 
 
 def simulate_mvsde(
@@ -296,9 +303,8 @@ def simulate_mvsde(
     reference=None,
 ) -> ParticleEnsemble:
     """Plain interacting particle system coupled through its own cloud."""
-    return _run_main(
-        spec, grid, eps, n_particles, seed, "self", None, None, record, reference
-    )
+    lane = Lane(reference=reference, record=record)
+    return simulate_lanes(spec, grid, eps, [lane], n_particles, seed)[0]
 
 
 def simulate_controlled_selfconsistent(
@@ -317,9 +323,8 @@ def simulate_controlled_selfconsistent(
     deviation bounds quantify over; it exists so the discrepancy can be
     demonstrated against the frozen-law lane.
     """
-    return _run_main(
-        spec, grid, eps, n_particles, seed, "self", control, None, record, reference
-    )
+    lane = Lane(control, "self", reference, record)
+    return simulate_lanes(spec, grid, eps, [lane], n_particles, seed)[0]
 
 
 def simulate_controlled_frozen(
@@ -335,13 +340,15 @@ def simulate_controlled_frozen(
 ) -> ParticleEnsemble:
     """Controlled system with coefficients reading a frozen law flow.
 
-    law_flow may be a ParticleEnsemble (its empirical flow), a Path (point
-    masses along it), a sequence of LawSummary, or a callable step -> law.
     The correct flow to freeze is the law of the UNCONTROLLED system.
+    law_flow "companion" steps the uncontrolled cloud from the same seed in
+    lockstep and reads its empirical law at each step, so memory is O(N),
+    not O(N x steps). law_flow may also be a Path (point masses along it) or
+    a callable step -> LawSummary.
     """
-    return _run_main(
-        spec, grid, eps, n_particles, seed, "frozen", control, law_flow, record, reference
-    )
+    lane = Lane(control, law_flow, reference, record)
+    lanes = [Lane(), lane] if law_flow == "companion" else [lane]
+    return simulate_lanes(spec, grid, eps, lanes, n_particles, seed)[-1]
 
 
 def _euler_limit_path(spec: ModelSpec, grid: TimeGrid) -> np.ndarray:
@@ -400,19 +407,15 @@ def simulate_mdp_controlled(
     ref_x = None if ref is None else xbar + a * ref
     clamped = 0
     if control is None or not (control.phi.any() or control.tilt.any()):
-        ens = _run_main(
-            spec, grid, eps, n_particles, seed, "self", None, None, record, ref_x
-        )
+        lane = Lane(reference=ref_x, record=record)
     else:
         raw = 1.0 + a * control.tilt
         psi = np.maximum(psi_floor, raw)
         clamped = int(np.count_nonzero(raw < psi_floor))
         bounds = (float(psi.min(initial=1.0)), float(psi.max(initial=1.0)))
         ctl = Control(grid, a * control.phi, psi, psi_bounds=bounds)
-        ens = _run_main(
-            spec, grid, eps, n_particles, seed, "frozen", ctl, Path(grid, xbar),
-            record, ref_x,
-        )
+        lane = Lane(ctl, Path(grid, xbar), ref_x, record)
+    ens = simulate_lanes(spec, grid, eps, [lane], n_particles, seed)[0]
 
     if ens.paths is not None:
         ens.paths -= xbar[:, None, :]

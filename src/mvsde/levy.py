@@ -2,15 +2,19 @@
 
 Sampling is by thinning from the dominating intensity rate_scale * hi * nu:
 a proposed jump at (s, z_j) is accepted iff u * hi < psi(s, z_j) with
-u ~ U[0,1). The engine samples one time cell at a time (sample_step), so
-memory holds the jumps of one step, never the whole horizon. Per step the
-draw order is fixed: Poisson proposal counts per cell for all streams
+u ~ U[0,1). The engine samples one time cell at a time, so memory holds
+the jumps of one step, never the whole horizon. Each step is one proposal
+draw (propose_step) followed by one thin-and-rank pass per psi row
+(thin_step); lanes stepped in lockstep share the proposals, drawn at the
+largest hi of the lanes, and each thins them with its own psi. Per step
+the draw order is fixed: Poisson proposal counts per cell for all streams
 together (superposition), then a uniform stream index per proposal, then
 its in-step time uniform, then its acceptance uniform. Counts depend only
 on hi, never on psi, so two runs from the same generator state with the
-same hi propose identical jumps and differ only through psi. The plain
-sampler is the controlled one with psi = 1, hi = 1 (every proposal
-accepted), which makes the null-control coupling exact, bit for bit.
+same hi propose identical jumps and differ only through psi, and a jump
+accepted at psi is accepted at every psi' >= psi. The plain sampler is the
+controlled one with psi = 1, hi = 1 (every proposal accepted), which makes
+the null-control coupling exact, bit for bit.
 sample_prm and sample_controlled_prm loop the same step sampler over the
 grid and return the whole horizon as one JumpStream.
 """
@@ -26,6 +30,8 @@ from .errors import GridMismatchError, InvalidArgumentError, InvalidControlError
 __all__ = [
     "IntensityMeasure",
     "JumpStream",
+    "propose_step",
+    "thin_step",
     "sample_step",
     "sample_prm",
     "sample_controlled_prm",
@@ -95,29 +101,34 @@ class JumpStream:
         return self.stream.size
 
 
-def sample_step(
+def propose_step(
     intensity: IntensityMeasure,
     rate_scale: float,
     t0: float,
     dt: float,
-    psi_k: np.ndarray,
     hi: float,
     n_streams: int,
     rng: np.random.Generator,
 ):
-    """Accepted jumps of one time cell [t0, t0 + dt) for n_streams streams.
-
-    Returns (stream, time, cell, rank, n_proposed), the arrays sorted by
-    (rank, stream): within a rank every stream appears at most once.
-    """
+    """Proposed jumps of one time cell [t0, t0 + dt) at the dominating rate
+    rate_scale * hi * nu: (stream, time, cell, u * hi, n_streams)."""
     # Proposal counts per cell for all streams at once (superposition).
     lam = n_streams * rate_scale * hi * dt * intensity.masses
     cell = np.repeat(np.arange(intensity.n_cells), rng.poisson(lam))
-    n_proposed = cell.size
-    stream = rng.integers(0, n_streams, size=n_proposed)
+    stream = rng.integers(0, n_streams, size=cell.size)
     # Times are drawn per proposal, independent of its cell and its stream.
-    time = t0 + rng.random(n_proposed) * dt
-    keep = rng.random(n_proposed) * hi < psi_k[cell]
+    time = t0 + rng.random(cell.size) * dt
+    return stream, time, cell, rng.random(cell.size) * hi, n_streams
+
+
+def thin_step(proposal, psi_k: np.ndarray):
+    """Keep the proposals with u * hi < psi_k[cell] and rank them.
+
+    Returns (stream, time, cell, rank), sorted by (rank, stream): within a
+    rank every stream appears at most once.
+    """
+    stream, time, cell, u_hi, n_streams = proposal
+    keep = u_hi < psi_k[cell]
     stream, time, cell = stream[keep], time[keep], cell[keep]
 
     # Sort by time, then by the unique key (stream, position in time order):
@@ -131,7 +142,22 @@ def sample_step(
     np.not_equal(stream[1:], stream[:-1], out=first[1:])
     rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
     order = np.argsort(rank * n_streams + stream)
-    return stream[order], time[order], cell[order], rank[order], n_proposed
+    return stream[order], time[order], cell[order], rank[order]
+
+
+def sample_step(
+    intensity: IntensityMeasure,
+    rate_scale: float,
+    t0: float,
+    dt: float,
+    psi_k: np.ndarray,
+    hi: float,
+    n_streams: int,
+    rng: np.random.Generator,
+):
+    """Accepted jumps of one time cell: (stream, time, cell, rank, n_proposed)."""
+    proposal = propose_step(intensity, rate_scale, t0, dt, hi, n_streams, rng)
+    return (*thin_step(proposal, psi_k), proposal[0].size)
 
 
 def _sample_thinned(

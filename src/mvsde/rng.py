@@ -10,9 +10,12 @@ substreams, fixed in this order:
 Every simulation entry point takes the master seed; re-running with the same
 seed reproduces trajectories bit for bit, including the split between plain
 and controlled jump sampling (both consume the jump stream in the same fixed
-draw order). The engine draws Brownian increments only at steps whose
-diffusion is not identically zero, so a model with sigma = 0 leaves the
-Brownian substream untouched.
+draw order). Lockstep lanes share one SeedBlock: per step, one Brownian
+increment and one jump proposal set, thinned by each lane with its own psi;
+a lane is bit-identical to its solo run when its psi bound equals the
+shared one, otherwise equal in law. Brownian increments are drawn only at
+steps where some lane's diffusion is not identically zero, so a model with
+sigma = 0 leaves the Brownian substream untouched.
 """
 from __future__ import annotations
 

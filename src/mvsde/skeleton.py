@@ -67,9 +67,10 @@ def _field(spec: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
     return np.reshape(np.asarray(out, dtype=float), (spec.dim,))
 
 
-def _guard(x: np.ndarray, step: int):
-    if not np.isfinite(x).all() or np.abs(x).max() > _DIVERGENCE_LIMIT:
-        raise DivergenceError(f"limit dynamics diverged at step {step}", step=step)
+def _guard(x: np.ndarray, step: int, what: str = "limit dynamics"):
+    # one pass; NaN fails the comparison, so it trips the guard too
+    if not np.abs(x).max() <= _DIVERGENCE_LIMIT:
+        raise DivergenceError(f"{what} diverged at step {step}", step=step)
 
 
 def solve_limit_ode(
@@ -106,6 +107,8 @@ def solve_limit_ode(
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Apply (d,d) or (n,d,d) matrices to (n,d) row vectors."""
     mat = np.asarray(mat, dtype=float)
+    if mat.shape == (1, 1):
+        return vec * mat
     if mat.ndim == 2:
         return vec @ mat.T
     return np.einsum("nij,nj->ni", mat, vec)

@@ -25,8 +25,10 @@ import numpy as np
 
 from .core import Control, ModelSpec, TimeGrid
 from .dynamics import (
+    Lane,
     simulate_controlled_frozen,
-    simulate_controlled_selfconsistent,
+    simulate_controlled_selfconsistent,  # noqa: F401 -- perfbench/tracing.py wraps it here
+    simulate_lanes,
     simulate_mdp_controlled,
     simulate_mvsde,
 )
@@ -406,16 +408,14 @@ def check_controlled_convergence(
     skeleton = solve_ldp_skeleton(spec, grid, control).path
     values = []
     for idx, eps in enumerate(eps_list):
-        run_seed = derive_seed(seed, "check_controlled", idx)
-        ref = simulate_mvsde(spec, grid, eps, n_particles, run_seed, record="full")
         ens = simulate_controlled_frozen(
             spec,
             grid,
             eps,
             control,
-            ref,
+            "companion",
             n_particles,
-            run_seed,
+            derive_seed(seed, "check_controlled", idx),
             record="summary",
             reference=skeleton,
         )
@@ -492,8 +492,9 @@ def demo_frozen_vs_selfconsistent(
     reproduces that center. Letting the controlled cloud feed its own law
     back into the drift compounds the control through the interaction and
     lands at 2e - 1 instead: a different deterministic object, not the one
-    the deviation bounds are about. Both lanes share one seed, so the gap is
-    pure law-coupling, not noise.
+    the deviation bounds are about. The three clouds (uncontrolled, frozen on
+    it, self-consistent) step in lockstep over one set of draws, so the gap
+    is pure law-coupling, not noise, and memory is O(N), not O(N x steps).
     """
     from .models import get_model
     from .core import make_time_grid
@@ -506,15 +507,8 @@ def demo_frozen_vs_selfconsistent(
         np.ones((n_steps, 0)),
         psi_bounds=(1.0, 1.0),
     )
-    reference = simulate_mvsde(
-        spec, grid, eps, n_particles, seed, record="full"
-    )
-    frozen = simulate_controlled_frozen(
-        spec, grid, eps, control, reference, n_particles, seed, record="summary"
-    )
-    selfc = simulate_controlled_selfconsistent(
-        spec, grid, eps, control, n_particles, seed, record="summary"
-    )
+    lanes = [Lane(), Lane(control, "companion"), Lane(control, "self")]
+    reference, frozen, selfc = simulate_lanes(spec, grid, eps, lanes, n_particles, seed)
     skeleton = solve_ldp_skeleton(spec, grid, control).path
     frozen_center = float(frozen.terminal.mean())
     self_center = float(selfc.terminal.mean())

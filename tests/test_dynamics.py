@@ -5,6 +5,7 @@ import pytest
 
 from mvsde.core import (
     Control,
+    LawSummary,
     MdpControl,
     ModelSpec,
     make_time_grid,
@@ -12,8 +13,10 @@ from mvsde.core import (
     null_mdp_control,
 )
 from mvsde.dynamics import (
+    Lane,
     simulate_controlled_frozen,
     simulate_controlled_selfconsistent,
+    simulate_lanes,
     simulate_mdp_controlled,
     simulate_mvsde,
 )
@@ -40,8 +43,13 @@ def test_null_control_lanes_are_bit_identical(example11):
     # self-consistent lane under the null control is literally the plain system
     selfc = simulate_controlled_selfconsistent(example11, grid, 0.05, ctl, 64, seed=9)
     np.testing.assert_array_equal(plain.paths, selfc.paths)
-    # frozen lane fed the plain run's own empirical flow reproduces it exactly
-    frozen = simulate_controlled_frozen(example11, grid, 0.05, ctl, plain, 64, seed=9)
+    # frozen lane fed a replay of the plain run's empirical flow reproduces it
+    # exactly, and so does the frozen lane on its lockstep companion
+    replay = simulate_controlled_frozen(
+        example11, grid, 0.05, ctl, lambda k: LawSummary.empirical(plain.paths[k]), 64, seed=9
+    )
+    np.testing.assert_array_equal(plain.paths, replay.paths)
+    frozen = simulate_controlled_frozen(example11, grid, 0.05, ctl, "companion", 64, seed=9)
     np.testing.assert_array_equal(plain.paths, frozen.paths)
     # fed the deterministic limit instead, it is close but NOT the same system
     frozen_limit = simulate_controlled_frozen(
@@ -124,22 +132,89 @@ def test_divergence_error_carries_step():
     assert 0 <= err.value.step < 400
 
 
+def _assert_same_run(a, b):
+    np.testing.assert_array_equal(a.paths, b.paths)
+    assert a.meta["n_jumps"] == b.meta["n_jumps"]
+    assert a.meta["n_proposed"] == b.meta["n_proposed"]
+
+
+def test_lockstep_lanes_equal_their_solo_runs(example11, logistic):
+    # [plain, frozen on the companion, self-consistent] in one call: each lane
+    # equals its solo run bit for bit (the frozen one against a replay of the
+    # recorded plain run), on example11 and on logistic_mf with jumps at hi = 1
+    grid = make_time_grid(1.0, 60)
+    for spec, ctl in (
+        (example11, Control(grid, np.ones((60, 1)), np.ones((60, 0)))),
+        (
+            logistic,
+            Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6), psi_bounds=(0.5, 1.0)),
+        ),
+    ):
+        lanes = [
+            Lane(record="full"),
+            Lane(ctl, "companion", record="full"),
+            Lane(ctl, "self", record="full"),
+        ]
+        plain, frozen, selfc = simulate_lanes(spec, grid, 0.02, lanes, 48, seed=6)
+        solo = simulate_mvsde(spec, grid, 0.02, 48, seed=6)
+        replay = simulate_controlled_frozen(
+            spec, grid, 0.02, ctl, lambda k: LawSummary.empirical(solo.paths[k]), 48, seed=6
+        )
+        _assert_same_run(plain, solo)
+        _assert_same_run(frozen, replay)
+        _assert_same_run(selfc, simulate_controlled_selfconsistent(spec, grid, 0.02, ctl, 48, seed=6))
+        assert not np.array_equal(frozen.paths, selfc.paths)
+    assert plain.meta["n_jumps"] > frozen.meta["n_jumps"] > 0
+
+
+def test_lockstep_thinning_is_monotone_in_psi(pure_jump):
+    # b = 0, sigma = 0, G = 1: X_T = eps * N_T - T in every lane. The psi = 2
+    # lane thins the same proposals as the plain lane at the shared hi = 2, so
+    # it keeps every jump the plain lane keeps
+    grid = make_time_grid(1.0, 50)
+    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 2.0), psi_bounds=(1.0, 2.0))
+    plain, tilted = simulate_lanes(
+        pure_jump, grid, 0.05, [Lane(), Lane(ctl, "companion")], 500, seed=3
+    )
+    assert np.all(tilted.terminal >= plain.terminal)
+    assert tilted.meta["n_jumps"] > 1.5 * plain.meta["n_jumps"]
+
+
+def test_divergence_guard_catches_nan():
+    # the drift turns NaN at t = 0.5 (step 50); the guard stops the run there
+    nan_late = ModelSpec(
+        name="nan_late",
+        dim=1,
+        initial=np.array([1.0]),
+        drift=lambda t, x, law: np.full_like(x, np.nan) if t > 0.495 else x,
+        diffusion=lambda t, x, law: np.eye(1),
+    )
+    grid = make_time_grid(1.0, 100)
+    with pytest.raises(DivergenceError) as err:
+        simulate_mvsde(nan_late, grid, 1e-4, 8, seed=0)
+    assert err.value.step == 50
+
+
 def test_law_flow_variants_agree_for_mean_drift(example11):
-    # drift reads only the law mean, so a dirac(limit) flow and a low-noise
-    # particle flow drive the frozen lane the same way up to the Euler-vs-
-    # limit discretization gap of the cloud itself
+    # the frozen lane on its lockstep companion equals, bit for bit, the
+    # frozen lane fed a replay of the recorded uncontrolled run (the oracle);
+    # drift reads only the law mean, so a dirac(limit) flow drives it the same
+    # way up to the Euler-vs-limit discretization gap of the cloud itself
     grid = make_time_grid(1.0, 100)
     ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
-    ref_path = solve_limit_ode(example11, grid)
-    big_cloud = simulate_mvsde(example11, grid, 1e-6, 4000, seed=1)
-    a = simulate_controlled_frozen(example11, grid, 1e-6, ctl, ref_path, 32, seed=7)
-    b = simulate_controlled_frozen(example11, grid, 1e-6, ctl, big_cloud, 32, seed=7)
-    assert np.max(np.abs(a.terminal - b.terminal)) < 0.05
-    # and a callable step -> law flow is accepted too
-    c = simulate_controlled_frozen(
-        example11, grid, 1e-6, ctl, lambda k: a.law_at(k), 32, seed=7
+    plain = simulate_mvsde(example11, grid, 1e-6, 4000, seed=1)
+    replay = simulate_controlled_frozen(
+        example11, grid, 1e-6, ctl, lambda k: LawSummary.empirical(plain.paths[k]),
+        4000, seed=1,
     )
-    assert c.terminal.shape == (32, 1)
+    lockstep = simulate_controlled_frozen(
+        example11, grid, 1e-6, ctl, "companion", 4000, seed=1
+    )
+    np.testing.assert_array_equal(lockstep.paths, replay.paths)
+    limit = simulate_controlled_frozen(
+        example11, grid, 1e-6, ctl, solve_limit_ode(example11, grid), 4000, seed=1
+    )
+    assert np.max(np.abs(limit.terminal - lockstep.terminal)) < 0.05
 
 
 def test_mdp_lane_null_control_variance(example11):

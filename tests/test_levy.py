@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from mvsde.core import Control, make_time_grid
 from mvsde.errors import GridMismatchError, InvalidArgumentError, InvalidControlError
-from mvsde.levy import IntensityMeasure, sample_controlled_prm, sample_prm, sample_step
+from mvsde.levy import (
+    IntensityMeasure,
+    propose_step,
+    sample_controlled_prm,
+    sample_prm,
+    sample_step,
+    thin_step,
+)
 
 
 def two_cell():
@@ -66,6 +73,21 @@ def test_step_sampler_cells_are_independent_of_time_and_rank():
     first = np.full(n, np.inf)
     np.minimum.at(first, stream, time)
     np.testing.assert_array_equal(time[rank == 0], first[stream[rank == 0]])
+
+
+def test_shared_proposals_thin_monotonically():
+    # one proposal set at hi = 2: every jump kept at psi = 1 is kept at psi = 2,
+    # and with one psi row the split sampler makes exactly sample_step's draws
+    m = two_cell()
+    proposal = propose_step(m, 2.0, 0.0, 1.0, 2.0, 500, np.random.default_rng(4))
+    low = thin_step(proposal, np.ones(2))
+    high = thin_step(proposal, np.full(2, 2.0))
+    assert high[0].size == proposal[0].size > 1.5 * low[0].size
+    low_set = set(zip(low[0].tolist(), low[1].tolist()))
+    assert low_set <= set(zip(high[0].tolist(), high[1].tolist()))
+    solo = sample_step(m, 2.0, 0.0, 1.0, np.ones(2), 2.0, 500, np.random.default_rng(4))
+    for a, b in zip(solo, (*low, proposal[0].size)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_stream_totals_are_poisson():

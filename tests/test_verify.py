@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,17 @@ def test_demo_report_shape_cheap():
     assert abs(rep.frozen_center - rep.frozen_target) < abs(
         rep.frozen_center - rep.selfconsistent_target
     )
+
+
+def test_demo_memory_does_not_grow_with_steps():
+    # the three lanes step in lockstep, so no lane records the horizon:
+    # peak memory is O(N), not O(N * n_steps)
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            demo_frozen_vs_selfconsistent(n_particles=10_000, n_steps=n_steps, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(800) <= 1.5 * peak(200)
