@@ -37,7 +37,6 @@ from .errors import (
     UnsupportedError,
 )
 from .levy import IntensityMeasure, JumpStream, sample_controlled_prm, sample_prm
-from .measure import EmpiricalMeasure, W2Result, wasserstein2
 from .models import get_model, list_models, load_model_file
 from .rate import (
     EventSpec,
@@ -82,8 +81,6 @@ __all__ = [
     "DivergenceError", "NoConvergenceError",
     # jump noise
     "IntensityMeasure", "JumpStream", "sample_prm", "sample_controlled_prm",
-    # empirical measures
-    "EmpiricalMeasure", "W2Result", "wasserstein2",
     # models
     "get_model", "list_models", "load_model_file",
     # deterministic solvers

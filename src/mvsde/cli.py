@@ -67,11 +67,17 @@ def _guarded(fn):
     return wrapper
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_float(text: str, what: str) -> float:
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
+        return float(text)
     except ValueError:
         raise InvalidArgumentError(f"cannot parse {what}: {text!r}")
+
+
+def _parse_floats(text: str, what: str) -> list[float]:
+    return [
+        _parse_float(tok, what) for tok in str(text).split(",") if tok.strip() != ""
+    ]
 
 
 def parse_event(text: str, dim: int) -> EventSpec:
@@ -88,17 +94,17 @@ def parse_event(text: str, dim: int) -> EventSpec:
             raise InvalidArgumentError(
                 f"pin target has {len(target)} components, model has {dim}"
             )
-        return EventSpec.pin(target, tol=float(tail))
+        return EventSpec.pin(target, tol=_parse_float(tail, "pin tolerance"))
     if kind == "path":
         ref = load_path_csv(body)
-        return EventSpec.pin_path(ref, tol=float(tail))
+        return EventSpec.pin_path(ref, tol=_parse_float(tail, "pin tolerance"))
     if kind == "half":
         normal = _parse_floats(body, "halfspace normal")
         if len(normal) != dim:
             raise InvalidArgumentError(
                 f"halfspace normal has {len(normal)} components, model has {dim}"
             )
-        return EventSpec.halfspace(normal, float(tail))
+        return EventSpec.halfspace(normal, _parse_float(tail, "halfspace level"))
     raise InvalidArgumentError(f"unknown event kind {kind!r} (pin, path, half)")
 
 
@@ -350,9 +356,12 @@ def _resolve_target(target, compute):
     if str(target) == "auto":
         return float(compute())
     try:
-        return float(target)
+        value = float(target)
     except ValueError:
-        raise InvalidArgumentError(f"--target must be a number or 'auto': {target!r}")
+        value = float("nan")
+    if not np.isfinite(value):
+        raise InvalidArgumentError(f"--target must be a finite number or 'auto': {target!r}")
+    return value
 
 
 def _finish_verify(report, out, manifest):

@@ -25,7 +25,6 @@ __all__ = [
     "save_control",
     "load_control",
     "save_report",
-    "load_report",
     "ensemble_summary",
     "make_manifest",
 ]
@@ -113,16 +112,6 @@ def load_control(file):
 
 def save_report(file, payload: dict) -> None:
     FsPath(file).write_text(json.dumps(payload, indent=2, cls=_NumpyEncoder) + "\n")
-
-
-def load_report(file) -> dict:
-    file = FsPath(file)
-    try:
-        return json.loads(file.read_text())
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"report file not found: {file}")
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"report file is not valid JSON: {exc}")
 
 
 def ensemble_summary(ens) -> dict:

@@ -97,6 +97,12 @@ def mdp_cost(control: MdpControl, intensity: IntensityMeasure | None) -> float:
     return float(total)
 
 
+def _pin_tol(tol) -> float:
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InvalidArgumentError("pin tolerance must be a finite number >= 0")
+    return float(tol)
+
+
 @dataclass(frozen=True)
 class EventSpec:
     """A deviation event, usable both on skeleton paths and on samples.
@@ -122,19 +128,19 @@ class EventSpec:
     @classmethod
     def pin(cls, target, tol: float = 0.0) -> "EventSpec":
         target = np.atleast_1d(np.asarray(target, dtype=float))
-        if tol < 0:
-            raise InvalidArgumentError("pin tolerance must be >= 0")
-        return cls(kind="pin_terminal", target=target, tol=float(tol))
+        if not np.isfinite(target).all():
+            raise InvalidArgumentError("pin target must be finite")
+        return cls(kind="pin_terminal", target=target, tol=_pin_tol(tol))
 
     @classmethod
     def pin_path(cls, ref_path: Path, tol: float) -> "EventSpec":
-        if tol < 0:
-            raise InvalidArgumentError("pin tolerance must be >= 0")
-        return cls(kind="pin_path", ref_path=ref_path, tol=float(tol))
+        return cls(kind="pin_path", ref_path=ref_path, tol=_pin_tol(tol))
 
     @classmethod
     def halfspace(cls, normal, level: float) -> "EventSpec":
         normal = np.atleast_1d(np.asarray(normal, dtype=float))
+        if not (np.isfinite(normal).all() and np.isfinite(level)):
+            raise InvalidArgumentError("halfspace normal and level must be finite")
         if not normal.any():
             raise InvalidArgumentError("halfspace normal must be nonzero")
         return cls(kind="halfspace", normal=normal, level=float(level))
@@ -198,6 +204,10 @@ class OptimizerConfig:
     feasibility_tol: float = 1e-6
     start_scale: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        if min(self.n_starts, self.control_cells) < 1:
+            raise InvalidArgumentError("n_starts and control_cells must be >= 1")
 
 
 @dataclass

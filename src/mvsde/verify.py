@@ -16,6 +16,9 @@ weighted least squares, choosing the basis by what the data can support:
 Zero-hit points cannot produce a statistic; they are dropped from the fit
 and flagged as censored. Weights come from the binomial delta rule
 se(y) = h sqrt((1 - p_hat) / (n p_hat)).
+
+The limit check's terminal W2 distance to the point mass at xbar(T) is the
+closed form sqrt(mean_i |X_i(T) - xbar(T)|^2): every coupling costs the same.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from .dynamics import (
     simulate_mvsde,
 )
 from .errors import InvalidArgumentError
-from .measure import EmpiricalMeasure, wasserstein2
 from .rate import EventSpec
 from .rng import derive_seed
 from .skeleton import solve_ldp_skeleton, solve_limit_ode
@@ -202,6 +204,11 @@ def _validate_eps_list(eps_list) -> list:
     return sorted(eps_list, reverse=True)
 
 
+def _check_tol(tol) -> None:
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise InvalidArgumentError("tol must be a finite number >= 0")
+
+
 def check_ldp(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -215,6 +222,7 @@ def check_ldp(
 ) -> SlopeReport:
     """Estimate the small-noise rate of an event by slope extrapolation."""
     eps_list = _validate_eps_list(eps_list)
+    _check_tol(tol)
     reference = event.ref_path if event.kind == "pin_path" else None
 
     def run(idx):
@@ -271,6 +279,7 @@ def check_mdp(
     come from the particle system under the null control.
     """
     eps_list = _validate_eps_list(eps_list)
+    _check_tol(tol)
     if not (0.0 < a_exp < 0.5):
         raise InvalidArgumentError(
             "a_exp must lie in (0, 1/2): a -> 0 with eps/a^2 -> 0"
@@ -358,8 +367,10 @@ def check_limit_convergence(
     tol: float = 0.2,
     jobs: int = 1,
 ) -> ConvergenceReport:
-    """Check E[sup_t |X - xbar|^2] = O(eps) along the given eps ladder."""
+    """Check E[sup_t |X - xbar|^2] = O(eps) along the given eps ladder, and
+    report W2(X(T), delta_xbar(T)) = sqrt(mean_i |X_i(T) - xbar(T)|^2)."""
     eps_list = _validate_eps_list(eps_list)
+    _check_tol(tol)
     limit = solve_limit_ode(spec, grid)
 
     def run(idx):
@@ -372,9 +383,8 @@ def check_limit_convergence(
             record="summary",
             reference=limit,
         )
-        cloud = EmpiricalMeasure(ens.terminal)
-        point = EmpiricalMeasure(np.tile(limit.terminal, (n_particles, 1)))
-        return float(ens.sup_sq.mean()), wasserstein2(cloud, point).value
+        dev = ens.terminal - limit.terminal
+        return float(ens.sup_sq.mean()), float(np.sqrt(np.mean(np.sum(dev**2, axis=1))))
 
     results = _run_parallel(run, len(eps_list), jobs)
     values = [v for v, _ in results]

@@ -169,3 +169,37 @@ def test_verify_limit_quick(runner):
 def test_bad_event_grammar_exits_2(runner):
     out = runner.invoke(main, ["rate", "--event", "pin:1.0"])
     assert out.exit_code == 2
+
+
+_CONFIG = "n_starts and control_cells must be >= 1"
+_HALF = "halfspace normal and level must be finite"
+_TARGET = "--target must be a finite number"
+_TOL = "tol must be a finite number >= 0"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["rate", "--event", "half:1.0:1.0", "--cells", "0"], _CONFIG),
+        (["rate", "--event", "half:1.0:1.0", "--cells", "-2"], _CONFIG),
+        (["rate", "--event", "half:1.0:1.0", "--starts", "0"], _CONFIG),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--cells", "0"], _CONFIG),
+        (["rate", "--event", "half:1.0:nan"], _HALF),
+        (["rate", "--event", "half:nan:1.0"], _HALF),
+        (["rate", "--kind", "mdp", "--event", "half:1.0:inf"], _HALF),
+        (["rate", "--event", "half:1.0:abc"], "cannot parse halfspace level"),
+        (["rate", "--event", "pin:nan:0.1"], "pin target must be finite"),
+        (["rate", "--event", "pin:1.0:nan"], "pin tolerance must be a finite number"),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--target", "nan"], _TARGET),
+        (["verify-mdp", "--event", "half:1.0:0.5", "--target", "nan"], _TARGET),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--tol", "-1"],
+         _TOL),
+        (["verify-mdp", "--event", "half:1.0:0.5", "--target", "0.125", "--tol", "-1"],
+         _TOL),
+        (["verify-limit", "--tol", "-1"], _TOL),
+    ],
+)
+def test_invalid_numbers_exit_2(runner, args, message):
+    out = runner.invoke(main, args)
+    assert out.exit_code == 2, out.output
+    assert message in out.output

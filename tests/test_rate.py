@@ -255,6 +255,22 @@ def test_mdp_rate_exact_pin_two_grids(example11):
     assert abs(vals[400] - vals[800]) < 1e-6
 
 
+def test_mdp_rate_exact_pin_with_nonzero_linearization():
+    # linear_gaussian: b = x, sigma = 1, so A = 1 and m(1) = int e^(1-t) phi dt;
+    # the Gramian is int_0^1 e^(2(1-t)) dt = (e^2 - 1)/2, and a pin (or, in 1d,
+    # the halfspace) at c costs c^2 / (2 * Gramian) = c^2 / (e^2 - 1)
+    spec = get_model("linear_gaussian")
+    grid = make_time_grid(1.0, 400)
+    c = 0.8
+    exact = c**2 / (E**2 - 1.0)
+    by_pin = mdp_rate(spec, grid, EventSpec.pin([c]))
+    by_half = mdp_rate(spec, grid, EventSpec.halfspace([1.0], c))
+    assert by_pin.feasible and by_half.feasible
+    assert by_pin.value == pytest.approx(exact, rel=1e-5)
+    assert by_half.value == pytest.approx(exact, rel=1e-5)
+    assert by_pin.skeleton.terminal[0] == pytest.approx(c, abs=1e-9)
+
+
 def test_mdp_rate_halfspace_matches_pin_in_1d(example11):
     grid = make_time_grid(1.0, 300)
     c = 0.7

@@ -3,9 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvsde.core import make_time_grid
+from mvsde.core import ModelSpec, make_time_grid
+from mvsde.dynamics import simulate_mvsde
 from mvsde.errors import InvalidArgumentError
+from mvsde.models import get_model
 from mvsde.rate import EventSpec
+from mvsde.rng import derive_seed
+from mvsde.skeleton import solve_limit_ode
 from mvsde.verify import (
     SlopeRow,
     check_controlled_convergence,
@@ -137,6 +141,30 @@ def test_check_limit_convergence_smoke(example11):
     assert isinstance(rep.passed, bool)
     assert "terminal_w2_to_limit" in rep.details
     assert len(rep.details["terminal_w2_to_limit"]) == 3
+
+
+def _plane_ou():
+    """Two uncoupled mean-reverting coordinates, so the distance sums over d."""
+    return ModelSpec(
+        name="plane_ou",
+        dim=2,
+        initial=np.array([1.0, -0.5]),
+        drift=lambda t, x, law: -np.asarray(x, dtype=float),
+        diffusion=lambda t, x, law: np.diag([1.0, 2.0]),
+    )
+
+
+@pytest.mark.parametrize("model", ["example11", "plane_ou"])
+def test_terminal_w2_is_the_point_mass_closed_form(model):
+    spec = _plane_ou() if model == "plane_ou" else get_model(model)
+    grid = make_time_grid(1.0, 50)
+    eps_list, n, seed = [0.2, 0.1], 500, 7
+    rep = check_limit_convergence(spec, grid, eps_list, n_particles=n, seed=seed)
+    xbar = solve_limit_ode(spec, grid).terminal
+    for i, eps in enumerate(eps_list):
+        ens = simulate_mvsde(spec, grid, eps, n, derive_seed(seed, "check_limit", i))
+        brute = np.sqrt(np.mean(np.sum((ens.terminal - xbar) ** 2, axis=1)))
+        assert rep.details["terminal_w2_to_limit"][i] == pytest.approx(brute, abs=1e-12)
 
 
 def test_check_controlled_convergence_smoke(example11):
