@@ -173,12 +173,12 @@ class Control:
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim == 1:
             phi = phi[:, None]
-        if phi.shape[0] != self.grid.n_steps:
+        if phi.ndim != 2 or phi.shape[0] != self.grid.n_steps:
             raise InvalidControlError("phi needs one row per grid cell")
         psi = np.asarray(self.psi, dtype=float)
         if psi.ndim == 1:
             psi = psi[:, None]
-        if psi.shape[0] != self.grid.n_steps:
+        if psi.ndim != 2 or psi.shape[0] != self.grid.n_steps:
             raise InvalidControlError("psi needs one row per grid cell")
         lo, hi = map(float, self.psi_bounds)
         if not (0.0 < lo <= hi and np.isfinite(hi)):
@@ -198,9 +198,6 @@ class Control:
     @property
     def n_mark_cells(self) -> int:
         return self.psi.shape[1]
-
-    def is_null(self) -> bool:
-        return not self.phi.any() and bool(np.all(self.psi == 1.0))
 
 
 def null_control(grid: TimeGrid, dim: int, n_mark_cells: int = 0) -> Control:
@@ -226,12 +223,12 @@ class MdpControl:
         phi = np.asarray(self.phi, dtype=float)
         if phi.ndim == 1:
             phi = phi[:, None]
-        if phi.shape[0] != self.grid.n_steps:
+        if phi.ndim != 2 or phi.shape[0] != self.grid.n_steps:
             raise InvalidControlError("phi needs one row per grid cell")
         tilt = np.asarray(self.tilt, dtype=float)
         if tilt.ndim == 1:
             tilt = tilt[:, None]
-        if tilt.shape[0] != self.grid.n_steps:
+        if tilt.ndim != 2 or tilt.shape[0] != self.grid.n_steps:
             raise InvalidControlError("tilt needs one row per grid cell")
         if not np.isfinite(phi).all() or not np.isfinite(tilt).all():
             raise InvalidControlError("control coefficients must be finite")

@@ -63,7 +63,10 @@ def load_path_csv(file) -> Path:
         raise InvalidArgumentError(f"path file not found: {file}")
     if not header or header[0] != "t" or len(rows) < 2:
         raise InvalidArgumentError(f"{file} is not a path CSV (header t,x0,...)")
-    data = np.array([[float(v) for v in row] for row in rows])
+    try:
+        data = np.array([[float(v) for v in row] for row in rows])
+    except ValueError:
+        raise InvalidArgumentError(f"{file} has a non-numeric cell or a ragged row")
     return Path(TimeGrid(data[:, 0]), data[:, 1:], kind="linear")
 
 
@@ -96,18 +99,22 @@ def load_control(file):
         raise InvalidArgumentError(f"control file not found: {file}")
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"control file is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"control file is not a JSON object: {file}")
+    mdp = raw.get("kind") == "mdp"
     try:
-        grid = TimeGrid(np.asarray(raw["nodes"], dtype=float))
-        if raw.get("kind") == "mdp":
-            return MdpControl(grid, np.asarray(raw["phi"]), np.asarray(raw["tilt"]))
-        return Control(
-            grid,
-            np.asarray(raw["phi"]),
-            np.asarray(raw["psi"]),
-            psi_bounds=tuple(raw.get("psi_bounds", (1.0, 1.0))),
-        )
+        nodes = np.asarray(raw["nodes"], dtype=float)
+        phi = np.asarray(raw["phi"], dtype=float)
+        other = np.asarray(raw["tilt" if mdp else "psi"], dtype=float)
+        lo, hi = map(float, raw.get("psi_bounds", (1.0, 1.0)))
     except KeyError as exc:
         raise InvalidArgumentError(f"control file is missing key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"control file entries must be numeric: {exc}")
+    grid = TimeGrid(nodes)
+    if mdp:
+        return MdpControl(grid, phi, other)
+    return Control(grid, phi, other, psi_bounds=(lo, hi))
 
 
 def save_report(file, payload: dict) -> None:

@@ -175,12 +175,14 @@ def load_model_file(path) -> ModelSpec:
         raise InvalidArgumentError(f"model file not found: {path}")
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"model file is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"model file is not a JSON object: {path}")
     for key in ("name", "dim", "initial"):
         if key not in raw:
             raise InvalidArgumentError(f"model file: missing required key {key!r}")
-    d = int(raw["dim"])
-    if d < 1:
-        raise InvalidArgumentError("model file: dim must be >= 1")
+    d = raw["dim"]
+    if type(d) is not int or d < 1:  # a JSON integer; bool is an int subclass
+        raise InvalidArgumentError(f"model file: dim must be an integer >= 1, not {d!r}")
 
     dr = raw.get("drift", {})
     const = _matrix(dr.get("const", np.zeros(d)), (d,), "drift.const")

@@ -21,7 +21,9 @@ trace row counts its start's skeleton solves, gradients and ALM rounds.
 mdp_rate is exact: the moderate skeleton is linear in the control, so the
 terminal response matrix A is built by propagating every basis column at
 once and the least-norm value 1/2 r^T (A W^-1 A^T)^-1 r is assembled from
-the cost weights W. Halfspace events pin to the boundary; a pin tolerance
+the cost weights W. The propagation runs the tangent of the trapezoid
+skeleton map at the null control, the operator whose adjoint gives ldp_rate
+its gradients. Halfspace events pin to the boundary; a pin tolerance
 shrinks the target toward the reachable set.
 """
 from __future__ import annotations

@@ -9,15 +9,19 @@ The large-deviation skeleton for a control (phi, psi) solves
 with the law frozen at the limit path xbar. It is computed in deviation form,
 y = xbar + (integral of the difference against the limit drift), so the null
 control is an exact fixed point of the Picard map and the discretization
-error of the limit path does not leak into the correction term. ldp_vjp
-differentiates that discrete (implicit-trapezoid) map exactly, by an adjoint
-sweep, for the rate optimizer's gradients.
+error of the limit path does not leak into the correction term.
 
 The moderate-deviation skeleton is the linearization of the large-deviation
 skeleton at the null control: m' = A(t) m + sigma(t) phi + sum_j G(t, z_j)
 tilt_j nu_j with A(t) = d_x b(t, xbar, d_xbar), the law again frozen at the
 limit. The particle law sits O(sqrt(eps)) from d_xbar, so its derivative
 term is O(sqrt(eps) / a) and vanishes in the moderate window.
+
+One linear-response operator serves both regimes: the tangent of the
+discrete (implicit-trapezoid) skeleton map, built cell by cell in
+_cell_maps. ldp_vjp runs it in reverse, as an exact adjoint sweep, for the
+rate optimizer's gradients; at the null control, where its state jacobian
+is A, the moderate skeleton runs it forward (_propagate_mdp).
 """
 from __future__ import annotations
 
@@ -25,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Control, LawSummary, MdpControl, ModelSpec, Path, TimeGrid
+from .core import (
+    Control, LawSummary, MdpControl, ModelSpec, Path, TimeGrid, null_control,
+)
 from .errors import (
     DivergenceError,
     GridMismatchError,
@@ -73,18 +79,11 @@ def _guard(x: np.ndarray, step: int, what: str = "limit dynamics"):
         raise DivergenceError(f"{what} diverged at step {step}", step=step)
 
 
-def solve_limit_ode(
-    spec: ModelSpec, grid: TimeGrid, return_midpoints: bool = False
-):
-    """Integrate the limit ODE with two fourth-order stages per grid cell.
-
-    Returns the Path on the grid nodes; with return_midpoints=True also the
-    (n_steps, d) array of cell-midpoint states from the internal half steps.
-    """
+def solve_limit_ode(spec: ModelSpec, grid: TimeGrid) -> Path:
+    """Integrate the limit ODE with two fourth-order stages per grid cell."""
     n, d = grid.n_steps, spec.dim
     x = spec.initial.copy()
     nodes = np.empty((n + 1, d))
-    mids = np.empty((n, d))
     nodes[0] = x
     for k in range(n):
         t0, dt = float(grid.nodes[k]), float(grid.dt[k])
@@ -96,12 +95,9 @@ def solve_limit_ode(
             k3 = _field(spec, ta + 0.5 * h, x + 0.5 * h * k2)
             k4 = _field(spec, ta + h, x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if half == 0:
-                mids[k] = x
         _guard(x, k)
         nodes[k + 1] = x
-    path = Path(grid, nodes, kind="linear")
-    return (path, mids) if return_midpoints else path
+    return Path(grid, nodes, kind="linear")
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -201,9 +197,9 @@ def jacobian_b_x(
 
     x is one state (d,), giving (d, d), or a row batch (n, d) with t a scalar
     or (n,) array, giving (n, d, d). The law defaults to the point mass on x
-    and the control (phi (n, d), tilt_w (n, C)) to none, which is the moderate
-    skeleton's A = d_x b(t, x, d_x); ldp_vjp passes the skeleton's control
-    and the law frozen at the limit path.
+    and the control (phi (n, d), tilt_w (n, C)) to none, giving
+    d_x b(t, x, d_x), the moderate skeleton's A on the limit path; _cell_maps
+    passes the skeleton's control and the law frozen at the limit path.
     """
     x = np.asarray(x, dtype=float)
     rows = np.reshape(x, (-1, spec.dim))
@@ -226,30 +222,24 @@ def jacobian_b_x(
     return jac if x.ndim > 1 else jac[0]
 
 
-def ldp_vjp(
+def _cell_maps(
     spec: ModelSpec,
     grid: TimeGrid,
     control: Control,
     path: Path,
     limit_path: Path,
     node: int,
-    cotangent: np.ndarray,
 ):
-    """Gradient of cotangent . y(t_node) in the fine-cell controls, where y is
-    the skeleton path of the control (the fixed point solve_ldp_skeleton
-    returns) and limit_path the limit it froze the law at.
-
-    Differentiates the implicit-trapezoid map itself: the tangent of cell k
-    solves (I - dt/2 J_hi) dy_{k+1} = (I + dt/2 J_lo) dy_k + dt/2 (F_lo + F_hi)_u du_k
-    with J = d_y [b + sigma phi_k + sum_j G_j (psi_kj - 1) nu_j] at the cell's
-    two end nodes. The step maps come from one batched solve and their
-    products from a doubling scan (log2(node) batched matmuls), so nothing
-    loops over steps. Returns dphi (n_steps, d) and dpsi (n_steps, C).
+    """Tangent of the implicit-trapezoid skeleton map along the control's
+    skeleton path (law frozen at limit_path), for cells 0..node-1: cell k
+    solves (I - dt/2 J_hi) dy_{k+1} = (I + dt/2 J_lo) dy_k + dt/2 (F_lo +
+    F_hi)_u du_k, J = d_y [b + sigma phi_k + sum_j G_j (psi_kj - 1) nu_j] at
+    its end nodes. Returns the step maps (I - dt/2 J_hi)^-1 (I + dt/2 J_lo),
+    the inverses (I - dt/2 J_hi)^-1 and the control columns
+    dt/2 (sigma_lo + sigma_hi), all (node, d, d), and dt/2 (G_lo + G_hi) nu
+    (node, C, d).
     """
     n, d, c = grid.n_steps, spec.dim, spec.n_mark_cells
-    dphi, dpsi = np.zeros((n, d)), np.zeros((n, c))
-    if node == 0:
-        return dphi, dpsi
     masses = spec.intensity.masses if c else np.zeros(0)
     # Rows 0..n-1 are the cells' left ends, rows n..2n-1 their right ends.
     ends = np.concatenate([np.arange(n), np.arange(1, n + 1)])
@@ -268,7 +258,36 @@ def ldp_vjp(
     maps = np.linalg.solve(
         eye - half * jac[hi], np.concatenate([eye + half * jac[lo], eyes], axis=2)
     )
-    step, inv = maps[..., :d], maps[..., d:]
+    col_phi = half * (sig[lo] + sig[hi])
+    col_psi = half * (g[lo] + g[hi]) * masses[:, None]
+    return maps[..., :d], maps[..., d:], col_phi, col_psi
+
+
+def ldp_vjp(
+    spec: ModelSpec,
+    grid: TimeGrid,
+    control: Control,
+    path: Path,
+    limit_path: Path,
+    node: int,
+    cotangent: np.ndarray,
+):
+    """Gradient of cotangent . y(t_node) in the fine-cell controls, where y is
+    the skeleton path of the control (the fixed point solve_ldp_skeleton
+    returns) and limit_path the limit it froze the law at.
+
+    Runs the tangent of the implicit-trapezoid map itself (_cell_maps) in
+    reverse. The step maps' products come from a doubling scan (log2(node)
+    batched matmuls), so nothing loops over steps. Returns dphi (n_steps, d)
+    and dpsi (n_steps, C).
+    """
+    n, d, c = grid.n_steps, spec.dim, spec.n_mark_cells
+    dphi, dpsi = np.zeros((n, d)), np.zeros((n, c))
+    if node == 0:
+        return dphi, dpsi
+    step, inv, col_phi, col_psi = _cell_maps(
+        spec, grid, control, path, limit_path, node
+    )
     # Suffix products: step[k] becomes step[node-1] @ ... @ step[k].
     shift = 1
     while shift < node:
@@ -278,39 +297,18 @@ def ldp_vjp(
     adjoint[-1] = cotangent
     adjoint[:-1] = np.einsum("kij,i->kj", step[1:], cotangent)
     source = np.einsum("kij,ki->kj", inv, adjoint)
-    dphi[:node] = half[:, 0] * np.einsum("kij,ki->kj", sig[lo] + sig[hi], source)
-    dpsi[:node] = half[:, 0] * np.einsum("kcd,kd->kc", g[lo] + g[hi], source) * masses
+    dphi[:node] = np.einsum("kij,ki->kj", col_phi, source)
+    dpsi[:node] = np.einsum("kcd,kd->kc", col_psi, source)
     return dphi, dpsi
 
 
 def _mdp_coefficients(spec: ModelSpec, grid: TimeGrid):
-    """A(t), sigma(t), and jump columns along the limit path, at the grid
-    nodes and the internal cell midpoints."""
-    limit_path, mids = solve_limit_ode(spec, grid, return_midpoints=True)
-    xbar = limit_path.values
-    n, d = grid.n_steps, spec.dim
-    t_nodes, t_mids = grid.nodes, grid.nodes[:-1] + 0.5 * grid.dt
-
-    def coeffs_at(t: float, x: np.ndarray):
-        a_mat = jacobian_b_x(spec, t, x)
-        sig = np.asarray(spec.diffusion(t, x[None, :], LawSummary.dirac(x)), float)
-        sig = sig.reshape(d, d)
-        if spec.has_jumps:
-            law = LawSummary.dirac(x)
-            cols = np.stack(
-                [
-                    np.reshape(spec.jump(t, x[None, :], law, z), (d,))
-                    for z in spec.intensity.atoms
-                ]
-            )
-            g = cols * spec.intensity.masses[:, None]  # (C, d), nu-weighted
-        else:
-            g = np.zeros((0, d))
-        return a_mat, sig, g
-
-    at_nodes = [coeffs_at(float(t_nodes[i]), xbar[i]) for i in range(n + 1)]
-    at_mids = [coeffs_at(float(t_mids[k]), mids[k]) for k in range(n)]
-    return limit_path, at_nodes, at_mids
+    """The limit path and the skeleton map's tangent maps (_cell_maps) at the
+    null control along it, where J is A = d_x b(t, xbar, d_xbar)."""
+    limit_path = solve_limit_ode(spec, grid)
+    null = null_control(grid, spec.dim, spec.n_mark_cells)
+    maps = _cell_maps(spec, grid, null, limit_path, limit_path, grid.n_steps)
+    return limit_path, maps
 
 
 def _propagate_mdp(
@@ -320,32 +318,19 @@ def _propagate_mdp(
     tilt: np.ndarray,
     coeffs=None,
 ) -> np.ndarray:
-    """Fourth-order propagation of the linear moderate skeleton.
+    """Forward tangent recursion of the linear moderate skeleton,
+    m_{k+1} = step_k m_k + inv_k (col_phi_k phi_k + col_psi_k^T tilt_k).
 
     phi: (B, n_steps, d) and tilt: (B, n_steps, C) batches of cellwise
     constant controls; returns the (B, n_steps + 1, d) solution batch.
     """
     if coeffs is None:
         coeffs = _mdp_coefficients(spec, grid)
-    _, at_nodes, at_mids = coeffs
-    batch, n, d = phi.shape[0], grid.n_steps, spec.dim
-    m = np.zeros((batch, n + 1, d))
-    cur = np.zeros((batch, d))
-    for k in range(n):
-        dt = float(grid.dt[k])
-        a0, s0, g0 = at_nodes[k]
-        am, sm, gm = at_mids[k]
-        a1, s1, g1 = at_nodes[k + 1]
-        p, w = phi[:, k, :], tilt[:, k, :]
-        src0 = p @ s0.T + (w @ g0 if g0.size else 0.0)
-        srcm = p @ sm.T + (w @ gm if gm.size else 0.0)
-        src1 = p @ s1.T + (w @ g1 if g1.size else 0.0)
-        k1 = cur @ a0.T + src0
-        k2 = (cur + 0.5 * dt * k1) @ am.T + srcm
-        k3 = (cur + 0.5 * dt * k2) @ am.T + srcm
-        k4 = (cur + dt * k3) @ a1.T + src1
-        cur = cur + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m[:, k + 1, :] = cur
+    _, (step, inv, col_phi, col_psi) = coeffs
+    m = np.zeros((phi.shape[0], grid.n_steps + 1, spec.dim))
+    for k in range(grid.n_steps):
+        source = phi[:, k] @ col_phi[k].T + tilt[:, k] @ col_psi[k]
+        m[:, k + 1] = m[:, k] @ step[k].T + source @ inv[k].T
     return m
 
 

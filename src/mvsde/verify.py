@@ -415,6 +415,7 @@ def check_controlled_convergence(
     """Check that the frozen-law controlled system tracks its skeleton:
     E[sup_t |Xbar - skeleton|^2] -> 0 at a rate close to O(eps)."""
     eps_list = _validate_eps_list(eps_list)
+    _check_tol(tol)
     skeleton = solve_ldp_skeleton(spec, grid, control).path
     values = []
     for idx, eps in enumerate(eps_list):

@@ -203,3 +203,19 @@ def test_invalid_numbers_exit_2(runner, args, message):
     out = runner.invoke(main, args)
     assert out.exit_code == 2, out.output
     assert message in out.output
+
+
+@pytest.mark.parametrize(
+    "args, name, body",
+    [
+        (["rate", "--event", "path:{f}:0.1"], "bad.csv", "t,x0\n0.0,1.0\n1.0,abc\n"),
+        (["skeleton", "--control", "{f}"], "bad.json", "[1, 2]"),
+        (["skeleton", "--model", "{f}"], "bad.json", '{"name": "x", "dim": "one", "initial": [0]}'),
+    ],
+)
+def test_malformed_files_exit_2(runner, tmp_path, args, name, body):
+    f = tmp_path / name
+    f.write_text(body)
+    out = runner.invoke(main, [a.format(f=f) for a in args])
+    assert out.exit_code == 2, out.output
+    assert "Traceback" not in out.output

@@ -91,7 +91,7 @@ def test_path_sup_distance_wants_matching_grids():
 def test_control_validation():
     grid = make_time_grid(1.0, 4)
     ctl = null_control(grid, dim=2, n_mark_cells=3)
-    assert ctl.is_null
+    assert not ctl.phi.any() and (ctl.psi == 1.0).all()
     assert ctl.phi.shape == (4, 2)
     assert ctl.psi.shape == (4, 3)
     with pytest.raises(InvalidControlError):

@@ -35,6 +35,31 @@ def test_path_csv_rejects_garbage(tmp_path):
     f.write_text("t,x0\n0.0,1.0\n")  # single row is not a path
     with pytest.raises(InvalidArgumentError):
         load_path_csv(f)
+    for body in ("t,x0\n0.0,1.0\n1.0,abc\n", "t,x0\n0.0,1.0\n1.0,2.0,3.0\n"):
+        f.write_text(body)  # a non-numeric cell, a ragged row
+        with pytest.raises(InvalidArgumentError):
+            load_path_csv(f)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [1.0, 2.0],
+        "control",
+        {"nodes": [0.0, 0.5, 1.0], "phi": [["a"], [0.0]], "psi": [[], []]},
+        {"nodes": [0.0, "x", 1.0], "phi": [[0.0], [0.0]], "psi": [[], []]},
+        {"nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0, 1.0]], "psi": [[], []]},
+        {"nodes": [0.0, 0.5, 1.0], "phi": 0.0, "psi": [[], []]},
+        {"nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0]], "psi": [[], []],
+         "psi_bounds": [1.0, 2.0, 3.0]},
+        {"kind": "mdp", "nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0]], "tilt": {}},
+    ],
+)
+def test_control_file_rejects_garbage(tmp_path, raw):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(raw))
+    with pytest.raises(InvalidArgumentError):
+        load_control(f)
 
 
 def test_control_roundtrip_both_kinds(tmp_path):

@@ -84,6 +84,13 @@ def test_json_model_validation(tmp_path):
         load_model_file(bad)
     with pytest.raises(InvalidArgumentError):
         load_model_file(tmp_path / "missing.json")
+    for raw in ([1], {"name": "x", "dim": "one", "initial": [0.0]},
+                {"name": "x", "dim": 1.5, "initial": [0.0]},
+                {"name": "x", "dim": [1], "initial": [0.0]},
+                {"name": "x", "dim": True, "initial": [0.0]}):
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(InvalidArgumentError):
+            load_model_file(bad)
     lop = tmp_path / "lop.json"
     lop.write_text(
         json.dumps({"name": "x", "dim": 1, "initial": [0.0], "jump": {"mark_matrix": [[1.0]]}})

@@ -4,9 +4,11 @@ import pytest
 from mvsde.core import Control, MdpControl, ModelSpec, make_time_grid, null_control
 from mvsde.errors import DivergenceError, NoConvergenceError
 from mvsde.models import get_model
+from mvsde.rate import _mdp_response
 from mvsde.skeleton import (
     PicardConfig,
     jacobian_b_x,
+    ldp_vjp,
     solve_ldp_skeleton,
     solve_limit_ode,
     solve_mdp_skeleton,
@@ -19,14 +21,6 @@ def test_limit_ode_hits_exponential(example11):
     grid = make_time_grid(1.0, 800)
     path = solve_limit_ode(example11, grid)
     assert abs(path.terminal[0] - E) < 1e-12
-
-
-def test_limit_ode_midpoints_shape(example11):
-    grid = make_time_grid(1.0, 50)
-    path, mids = solve_limit_ode(example11, grid, return_midpoints=True)
-    assert mids.shape == (50, 1)
-    # midpoint of the first cell sits between the endpoints
-    assert path.values[0, 0] < mids[0, 0] < path.values[1, 0]
 
 
 def test_limit_ode_divergence_guard():
@@ -114,3 +108,33 @@ def test_mdp_skeleton_jump_tilt(pure_jump):
     ctl = MdpControl(grid, np.zeros((100, 1)), np.full((100, 1), -0.6))
     m = solve_mdp_skeleton(pure_jump, grid, ctl)
     assert m.terminal[0] == pytest.approx(-0.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["logistic_mf", "linear_gaussian"])
+def test_mdp_skeleton_is_the_tangent_of_the_ldp_skeleton_map(name):
+    # One linear-response operator: the moderate skeleton is the tangent of
+    # the implicit-trapezoid skeleton map at the null control, and ldp_vjp
+    # runs that tangent's adjoint, so both match the map to rounding.
+    spec = get_model(name)
+    n, d, c = 200, spec.dim, spec.n_mark_cells
+    grid = make_time_grid(1.0, n)
+    rng = np.random.default_rng(3)
+    phi, tilt = rng.normal(size=(n, d)), rng.normal(size=(n, c))
+    m = solve_mdp_skeleton(spec, grid, MdpControl(grid, phi, tilt)).values
+
+    delta, tight = 1e-4, PicardConfig(max_iter=500, tol=1e-14)
+
+    def skeleton(sign):
+        ctl = Control(grid, sign * delta * phi, 1.0 + sign * delta * tilt, (0.5, 2.0))
+        return solve_ldp_skeleton(spec, grid, ctl, config=tight).path.values
+
+    central = (skeleton(1.0) - skeleton(-1.0)) / (2.0 * delta)
+    assert np.max(np.abs(central - m)) <= 1e-9
+
+    limit = solve_limit_ode(spec, grid)
+    a_mat, _ = _mdp_response(spec, grid)
+    null = null_control(grid, d, c)
+    for j in range(d):
+        dphi, dpsi = ldp_vjp(spec, grid, null, limit, limit, n, np.eye(d)[j])
+        row = np.hstack([dphi, dpsi]).reshape(-1)
+        assert np.max(np.abs(a_mat[j] - row)) <= 1e-12 * np.max(np.abs(row))

@@ -179,6 +179,11 @@ def test_check_controlled_convergence_smoke(example11):
     assert len(rep.values) == 3
     assert rep.values[-1] < rep.values[0]
     assert np.isfinite(rep.slope)
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(InvalidArgumentError, match="tol must be"):
+            check_controlled_convergence(
+                example11, grid, [0.1, 0.05], ctl, n_particles=400, seed=2, tol=bad
+            )
 
 
 def test_demo_report_shape_cheap():
