@@ -134,6 +134,12 @@ horizon_option = click.option(
 seed_option = click.option(
     "--seed", default=0, show_default=True, help="Master seed."
 )
+jobs_option = click.option(
+    "--jobs",
+    default=1,
+    show_default=True,
+    help="Integer >= 1, kept for compatibility: the ladder runs as one simulation.",
+)
 out_option = click.option(
     "--out", type=click.Path(dir_okay=False), default=None, help="Write a JSON report here."
 )
@@ -348,7 +354,7 @@ def _verify_common(fn):
         help="Rate target: a number, or 'auto' to optimize it first.",
     )(fn)
     fn = click.option("--tol", default=0.05, show_default=True)(fn)
-    fn = click.option("--jobs", default=1, show_default=True)(fn)
+    fn = jobs_option(fn)
     return fn
 
 
@@ -466,7 +472,7 @@ def verify_mdp_cmd(
 )
 @click.option("--particles", default=2000, show_default=True)
 @click.option("--tol", default=0.2, show_default=True, help="Slope tolerance.")
-@click.option("--jobs", default=1, show_default=True)
+@jobs_option
 @steps_option
 @horizon_option
 @seed_option

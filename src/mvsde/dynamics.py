@@ -1,16 +1,23 @@
 """Interacting particle systems under small Brownian and Poisson noise.
 
 One Euler engine (simulate_lanes) drives every lane; the lanes differ only
-in where each step reads its law (the lane's own cloud, the cloud of the
-companion lane 0, or a frozen flow) and in which control they apply. The
-plain system is literally the controlled engine fed the null control, so
-plain and null-controlled runs from one seed agree bit for bit.
+in their eps, in where each step reads its law (the lane's own cloud, the
+cloud of the companion lane 0, or a frozen flow) and in which control they
+apply. The plain system is literally the controlled engine fed the null
+control, so plain and null-controlled runs from one seed agree bit for bit.
 
-Several lanes step in lockstep over one set of draws per step: they share
-one Brownian increment and one jump proposal set, drawn at the largest psi
-bound of the lanes and thinned by each lane with its own psi. A lockstep
-lane is bit-identical to its solo run when its psi bound equals the shared
-one; otherwise it is equal in law.
+Several lanes step in lockstep over one set of draws per step. They share
+one Brownian increment dW, which lane i scales by its own sqrt(eps_i), and
+one jump proposal set at rate (1 / eps_ref) * hi * nu, with eps_ref the
+smallest eps, psibar_i the upper psi bound of lane i and
+hi = max_i psibar_i * eps_ref / eps_i; lane i keeps a
+proposal iff u * hi < psi_i(cell) * eps_ref / eps_i, so thinning stays
+monotone in psi. A lane is bit-identical to its solo run when its rate
+bound is the run's (eps_i = eps_ref, psibar_i = hi; the factor is exactly
+1.0 for one lane or lanes of one eps), and so is every lane of a model
+without jumps; the others are equal in law. The Brownian increment is drawn
+only when some lane's sigma is not identically zero at that step; otherwise
+the Brownian substream is left untouched.
 
 Per step k, with the law frozen at the left endpoint:
 
@@ -21,20 +28,22 @@ Per step k, with the law frozen at the left endpoint:
 
 followed by the step's accepted jumps, X += eps * G, applied in time
 order per particle (grouped by occurrence rank, vectorized across particles).
-The step's jumps are sampled inside the loop (levy.propose_step and
-levy.thin_step), so memory holds one step's jumps, not the horizon's. The
-Brownian increment is drawn only when some lane's sigma is not identically
-zero at that step; otherwise the Brownian substream is left untouched.
+Each cloud moves in place through step buffers shared by all lanes. Every
+coefficient call still sees the left-endpoint cloud through law.cloud: the
+jump coefficients run on a gathered copy of the jumping particles'
+post-drift states, and lane 0, the companion law source, moves last. The
+step's jumps are sampled inside the loop (levy.propose_step and
+levy.thin_step), so memory holds one step's jumps, not the horizon's.
 Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
 
 The moderate lane is the same engine read in fluctuation coordinates
-M = (X - xbar) / a. Under the null control it runs the plain particle
-system; under a control (phi, tilt) it runs the frozen-law lane with the
-law flow d_xbar and the control (a phi, max(psi_floor, 1 + a tilt)), clamps
-counted in meta. The matching moderate rate linearizes with
-A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
+M = (X - xbar) / a (_moderate_lane). Under the null control it runs the
+plain particle system; under a control (phi, tilt) it runs the frozen-law
+lane with the law flow d_xbar and the control (a phi, max(psi_floor,
+1 + a tilt)), clamps counted in meta. The matching moderate rate linearizes
+with A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
 """
 from __future__ import annotations
 
@@ -115,13 +124,17 @@ class _Recorder:
         self.paths = np.empty((n_nodes, n_particles, dim)) if full else None
         self.reference = reference
         self.sup_sq = None if reference is None else np.zeros(n_particles)
+        self.d2 = None if reference is None else np.empty(n_particles)
 
-    def record(self, k, x):
+    def record(self, k, x, scratch):
+        """Record the cloud x at node k; scratch is a free (N, d) buffer."""
         if self.paths is not None:
             self.paths[k] = x
         if self.reference is not None:
-            d2 = np.sum((x - self.reference[k]) ** 2, axis=1)
-            np.maximum(self.sup_sq, d2, out=self.sup_sq)
+            np.subtract(x, self.reference[k], out=scratch)
+            np.square(scratch, out=scratch)
+            np.sum(scratch, axis=1, out=self.d2)
+            np.maximum(self.sup_sq, self.d2, out=self.sup_sq)
 
 
 def _as_reference(reference, grid: TimeGrid, dim: int):
@@ -141,11 +154,13 @@ def _as_reference(reference, grid: TimeGrid, dim: int):
 
 @dataclass(frozen=True)
 class Lane:
-    """One particle cloud of simulate_lanes. law is where its coefficients
-    read the law each step: "self" (its own cloud), "companion" (lane 0's
-    cloud at the step's left endpoint), a Path (point masses along it) or a
-    callable step -> LawSummary. control None is the null control."""
+    """One particle cloud of simulate_lanes at noise level eps. law is where
+    its coefficients read the law each step: "self" (its own cloud),
+    "companion" (lane 0's cloud at the step's left endpoint), a Path (point
+    masses along it) or a callable step -> LawSummary. control None is the
+    null control."""
 
+    eps: float
     control: Control | None = None
     law: object = "self"
     reference: object = None
@@ -187,79 +202,102 @@ def _check_eps(eps: float, warnings: list):
         )
 
 
-def _apply_jumps(streams, times, cells, ranks, x, law, spec, eps):
+def _apply_jumps(streams, times, cells, ranks, x, incr, law, spec, eps):
     """Apply one step's accepted jumps, sorted by (rank, stream), in
-    per-particle time order."""
+    per-particle time order to the post-drift states x + incr of the
+    particles that jump. The jump coefficients run on a gathered copy, so x
+    (which law.cloud may be) keeps the step's left endpoint; returns the
+    jumping particles and their end-of-step states."""
+    # rank 0 holds every jumping particle once, in stream order
+    movers = streams[: int(np.searchsorted(ranks, 1))]
+    moved = x[movers] + incr[movers]
     pos = 0
     r = 0
     while pos < ranks.size:
         end = int(np.searchsorted(ranks, r + 1))
+        slot = np.searchsorted(movers, streams[pos:end])
         for j in np.flatnonzero(np.bincount(cells[pos:end])):
-            sel = pos + np.flatnonzero(cells[pos:end] == j)
-            pid = streams[sel]
+            sel = np.flatnonzero(cells[pos:end] == j)
+            at = slot[sel]
             z = spec.intensity.atoms[j]
-            g = spec.jump(times[sel], x[pid], law, z)
-            x[pid] += eps * np.asarray(g, dtype=float).reshape(pid.size, -1)
+            g = spec.jump(times[pos + sel], moved[at], law, z)
+            moved[at] += eps * np.asarray(g, dtype=float).reshape(at.size, -1)
         pos = end
         r += 1
+    return movers, moved
 
 
 def simulate_lanes(
     spec: ModelSpec,
     grid: TimeGrid,
-    eps: float,
     lanes: list,
     n_particles: int,
     seed: int,
 ) -> list:
     """Step the lanes in lockstep over one set of draws per step (see the
     module docstring); returns one ParticleEnsemble per lane."""
-    warnings: list = []
-    _check_eps(eps, warnings)
+    warnings = [[] for _ in lanes]
+    for lane, notes in zip(lanes, warnings):
+        _check_eps(lane.eps, notes)
     if n_particles < 1:
         raise InvalidArgumentError("n_particles must be >= 1")
     controls = [_lane_control(lane.control, spec, grid) for lane in lanes]
     sources = [_law_source(lane.law, grid) for lane in lanes]
+    # proposals at rate (1 / eps_ref) * hi * nu dominate every lane's
+    # psi_i / eps_i; lane i keeps one iff u * hi < psi_i(cell) * eps_ref / eps_i
+    eps_ref = min(lane.eps for lane in lanes)
+    scale = [eps_ref / lane.eps for lane in lanes]
+    hi = max(ctl.psi_bounds[1] * f for ctl, f in zip(controls, scale))
+    thin_psi = [ctl.psi * f for ctl, f in zip(controls, scale)]
 
     n, d, big_n = grid.n_steps, spec.dim, n_particles
     sb = SeedBlock.from_seed(seed)
-    hi = max(ctl.psi_bounds[1] for ctl in controls)
     n_jumps = [0] * len(lanes)
     n_proposed = 0
     recs = [
         _Recorder(lane.record, n + 1, big_n, d, _as_reference(lane.reference, grid, d))
         for lane in lanes
     ]
+    # step buffers shared by all lanes: the Brownian increment, one lane's
+    # increment and its sigma dW (then the recorders' scratch)
+    dw, incr, noise = (np.empty((big_n, d)) for _ in range(3))
     xs = [np.tile(spec.initial, (big_n, 1)) for _ in lanes]
     for rec, x in zip(recs, xs):
-        rec.record(0, x)
-    sqrt_eps = float(np.sqrt(eps))
+        rec.record(0, x, noise)
+    sqrt_eps = [float(np.sqrt(lane.eps)) for lane in lanes]
     phi_active = [bool(ctl.phi.any()) for ctl in controls]
+    # lane 0 is the companion law source, so it moves last
+    order = [*range(1, len(lanes)), 0]
 
     for k in range(n):
         t_k = float(grid.nodes[k])
         dt = float(grid.dt[k])
-        # every lane reads its law before any lane moves
+        # every lane reads its law at the left endpoint: no cloud moves until
+        # every coefficient call that can read it is done
         laws = [
             src(k) if callable(src) else LawSummary.empirical(x if src == "self" else xs[0])
             for x, src in zip(xs, sources)
         ]
         sigs = [spec.diffusion(t_k, x, law) for x, law in zip(xs, laws)]
         if any(np.any(sig) for sig in sigs):
-            dw = sb.brownian.standard_normal((big_n, d)) * np.sqrt(dt)
+            sb.brownian.standard_normal(out=dw)
+            dw *= np.sqrt(dt)
         if spec.has_jumps:
-            proposal = propose_step(spec.intensity, 1.0 / eps, t_k, dt, hi, big_n, sb.jumps)
+            proposal = propose_step(spec.intensity, 1.0 / eps_ref, t_k, dt, hi, big_n, sb.jumps)
             n_proposed += proposal[0].size
-        for i, (x, law, sig, ctl) in enumerate(zip(xs, laws, sigs, controls)):
+        for i in order:
+            x, law, sig, ctl = xs[i], laws[i], sigs[i], controls[i]
             drift = np.asarray(spec.drift(t_k, x, law), dtype=float)
-            incr = dt * np.broadcast_to(drift, (big_n, d))
+            np.multiply(dt, np.broadcast_to(drift, (big_n, d)), out=incr)
             if np.any(sig):
-                incr = incr + sqrt_eps * _matvec(sig, dw)
+                _matvec(sig, dw, out=noise)
+                noise *= sqrt_eps[i]
+                incr += noise
             if phi_active[i]:
                 # a (d, d) sigma gives one (1, d) row sigma phi_k for all particles
                 row = ctl.phi[k][None]
                 phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
-                incr = incr + dt * _matvec(sig, phi_k)
+                incr += dt * _matvec(sig, phi_k)
             if spec.has_jumps:
                 g_stack = np.stack(
                     [
@@ -272,24 +310,26 @@ def simulate_lanes(
                     axis=1,
                 )  # (N, C, d)
                 incr -= dt * np.einsum("ncd,c->nd", g_stack, spec.intensity.masses)
-            x = x + incr
-            if spec.has_jumps:
-                stream, time, cell, rank = thin_step(proposal, ctl.psi[k])
+                stream, time, cell, rank = thin_step(proposal, thin_psi[i][k])
                 n_jumps[i] += stream.size
-                _apply_jumps(stream, time, cell, rank, x, law, spec, eps)
+                movers, moved = _apply_jumps(
+                    stream, time, cell, rank, x, incr, law, spec, lanes[i].eps
+                )
+            x += incr
+            if spec.has_jumps:
+                x[movers] = moved
             _guard(x, k, "particle system")
-            recs[i].record(k + 1, x)
-            xs[i] = x
+            recs[i].record(k + 1, x, noise)
 
     return [
-        ParticleEnsemble(grid, eps, big_n, d, int(seed), "state", x, rec.paths, rec.sup_sq, {
-            "warnings": list(warnings),
+        ParticleEnsemble(grid, lane.eps, big_n, d, int(seed), "state", x, rec.paths, rec.sup_sq, {
+            "warnings": notes,
             "law_mode": src if isinstance(src, str) else "frozen",
-            "rate_scale": 1.0 / eps,
+            "rate_scale": 1.0 / lane.eps,
             "n_jumps": int(jumps),
             "n_proposed": int(n_proposed),
         })
-        for x, rec, src, jumps in zip(xs, recs, sources, n_jumps)
+        for lane, x, rec, src, jumps, notes in zip(lanes, xs, recs, sources, n_jumps, warnings)
     ]
 
 
@@ -303,8 +343,8 @@ def simulate_mvsde(
     reference=None,
 ) -> ParticleEnsemble:
     """Plain interacting particle system coupled through its own cloud."""
-    lane = Lane(reference=reference, record=record)
-    return simulate_lanes(spec, grid, eps, [lane], n_particles, seed)[0]
+    lane = Lane(eps, reference=reference, record=record)
+    return simulate_lanes(spec, grid, [lane], n_particles, seed)[0]
 
 
 def simulate_controlled_selfconsistent(
@@ -323,8 +363,8 @@ def simulate_controlled_selfconsistent(
     deviation bounds quantify over; it exists so the discrepancy can be
     demonstrated against the frozen-law lane.
     """
-    lane = Lane(control, "self", reference, record)
-    return simulate_lanes(spec, grid, eps, [lane], n_particles, seed)[0]
+    lane = Lane(eps, control, "self", reference, record)
+    return simulate_lanes(spec, grid, [lane], n_particles, seed)[0]
 
 
 def simulate_controlled_frozen(
@@ -346,9 +386,9 @@ def simulate_controlled_frozen(
     not O(N x steps). law_flow may also be a Path (point masses along it) or
     a callable step -> LawSummary.
     """
-    lane = Lane(control, law_flow, reference, record)
-    lanes = [Lane(), lane] if law_flow == "companion" else [lane]
-    return simulate_lanes(spec, grid, eps, lanes, n_particles, seed)[-1]
+    lane = Lane(eps, control, law_flow, reference, record)
+    lanes = [Lane(eps), lane] if law_flow == "companion" else [lane]
+    return simulate_lanes(spec, grid, lanes, n_particles, seed)[-1]
 
 
 def _euler_limit_path(spec: ModelSpec, grid: TimeGrid) -> np.ndarray:
@@ -365,25 +405,24 @@ def _euler_limit_path(spec: ModelSpec, grid: TimeGrid) -> np.ndarray:
     return xbar
 
 
-def simulate_mdp_controlled(
+def _moderate_lane(
     spec: ModelSpec,
     grid: TimeGrid,
     eps: float,
     a: float,
     control: MdpControl | None,
-    n_particles: int,
-    seed: int,
+    xbar: np.ndarray,
     psi_floor: float = 1e-3,
-    record: str = "full",
+    record: str = "summary",
     reference=None,
-) -> ParticleEnsemble:
-    """Moderate-regime fluctuation M = (X - xbar) / a of the particle system.
+):
+    """The lane that runs the fluctuation M = (X - xbar) / a, and the map that
+    reads its ensemble in M coordinates (paths, terminal, and sup_sq against
+    the reference read in M coordinates). xbar is _euler_limit_path.
 
     The null control (None, or phi = 0 and tilt = 0) runs the plain particle
     system; any other control runs the frozen-law lane with the law flow
-    d_xbar and the control (a phi, max(psi_floor, 1 + a tilt)). Paths,
-    terminal and sup_sq (against the reference read in M coordinates) all
-    come back in M coordinates.
+    d_xbar and the control (a phi, max(psi_floor, 1 + a tilt)).
     """
     if not (a > 0 and np.isfinite(a)):
         raise InvalidArgumentError("the moderate scale a must be positive")
@@ -401,31 +440,52 @@ def simulate_mdp_controlled(
         if spec.has_jumps and control.tilt.shape[1] != spec.intensity.n_cells:
             raise InvalidControlError("control tilt does not cover the mark cells")
 
-    d = spec.dim
-    xbar = _euler_limit_path(spec, grid)
-    ref = _as_reference(reference, grid, d)
+    ref = _as_reference(reference, grid, spec.dim)
     ref_x = None if ref is None else xbar + a * ref
     clamped = 0
     if control is None or not (control.phi.any() or control.tilt.any()):
-        lane = Lane(reference=ref_x, record=record)
+        lane = Lane(eps, reference=ref_x, record=record)
     else:
         raw = 1.0 + a * control.tilt
         psi = np.maximum(psi_floor, raw)
         clamped = int(np.count_nonzero(raw < psi_floor))
         bounds = (float(psi.min(initial=1.0)), float(psi.max(initial=1.0)))
         ctl = Control(grid, a * control.phi, psi, psi_bounds=bounds)
-        lane = Lane(ctl, Path(grid, xbar), ref_x, record)
-    ens = simulate_lanes(spec, grid, eps, [lane], n_particles, seed)[0]
+        lane = Lane(eps, ctl, Path(grid, xbar), ref_x, record)
 
-    if ens.paths is not None:
-        ens.paths -= xbar[:, None, :]
-        ens.paths /= a
-    if ens.sup_sq is not None:
-        ens.sup_sq /= a**2
-    ens.terminal = (ens.terminal - xbar[-1]) / a
-    ens.kind = "fluctuation"
-    ens.meta["warnings"].extend(window)
-    ens.meta.update(
-        a=float(a), speed=eps / a**2, clamped_cells=clamped, psi_floor=psi_floor
+    def to_fluctuation(ens: ParticleEnsemble) -> ParticleEnsemble:
+        if ens.paths is not None:
+            ens.paths -= xbar[:, None, :]
+            ens.paths /= a
+        if ens.sup_sq is not None:
+            ens.sup_sq /= a**2
+        ens.terminal = (ens.terminal - xbar[-1]) / a
+        ens.kind = "fluctuation"
+        ens.meta["warnings"].extend(window)
+        ens.meta.update(
+            a=float(a), speed=eps / a**2, clamped_cells=clamped, psi_floor=psi_floor
+        )
+        return ens
+
+    return lane, to_fluctuation
+
+
+def simulate_mdp_controlled(
+    spec: ModelSpec,
+    grid: TimeGrid,
+    eps: float,
+    a: float,
+    control: MdpControl | None,
+    n_particles: int,
+    seed: int,
+    psi_floor: float = 1e-3,
+    record: str = "full",
+    reference=None,
+) -> ParticleEnsemble:
+    """Moderate-regime fluctuation M = (X - xbar) / a of the particle system,
+    run as the one lane of _moderate_lane."""
+    xbar = _euler_limit_path(spec, grid)
+    lane, to_fluctuation = _moderate_lane(
+        spec, grid, eps, a, control, xbar, psi_floor, record, reference
     )
-    return ens
+    return to_fluctuation(simulate_lanes(spec, grid, [lane], n_particles, seed)[0])

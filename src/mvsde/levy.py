@@ -6,7 +6,8 @@ u ~ U[0,1). The engine samples one time cell at a time, so memory holds
 the jumps of one step, never the whole horizon. Each step is one proposal
 draw (propose_step) followed by one thin-and-rank pass per psi row
 (thin_step); lanes stepped in lockstep share the proposals, drawn at the
-largest hi of the lanes, and each thins them with its own psi. Per step
+run's rate bound, and each thins them with its own psi, scaled by its own
+eps (dynamics.simulate_lanes). Per step
 the draw order is fixed: Poisson proposal counts per cell for all streams
 together (superposition), then a uniform stream index per proposal, then
 its in-step time uniform, then its acceptance uniform. Counts depend only

@@ -148,8 +148,22 @@ def get_model(name: str) -> ModelSpec:
     )
 
 
+def _floats(entry, what: str) -> np.ndarray:
+    try:
+        return np.asarray(entry, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"model file: {what} must be numbers, not {entry!r}")
+
+
+def _block(raw: dict, key: str) -> dict:
+    block = raw.get(key, {})
+    if not isinstance(block, dict):
+        raise InvalidArgumentError(f"model file: {key} must be an object, not {block!r}")
+    return block
+
+
 def _matrix(entry, shape, what: str) -> np.ndarray:
-    arr = np.asarray(entry, dtype=float)
+    arr = _floats(entry, what)
     if arr.shape != shape:
         raise InvalidArgumentError(f"model file: {what} must have shape {shape}")
     if not np.isfinite(arr).all():
@@ -184,7 +198,7 @@ def load_model_file(path) -> ModelSpec:
     if type(d) is not int or d < 1:  # a JSON integer; bool is an int subclass
         raise InvalidArgumentError(f"model file: dim must be an integer >= 1, not {d!r}")
 
-    dr = raw.get("drift", {})
+    dr = _block(raw, "drift")
     const = _matrix(dr.get("const", np.zeros(d)), (d,), "drift.const")
     lin_x = _matrix(dr.get("linear_x", np.zeros((d, d))), (d, d), "drift.linear_x")
     lin_m = _matrix(
@@ -197,7 +211,7 @@ def load_model_file(path) -> ModelSpec:
         return const + x @ lin_x.T + m @ lin_m.T
 
     sig_mat = _matrix(
-        raw.get("diffusion", {}).get("const", np.zeros((d, d))),
+        _block(raw, "diffusion").get("const", np.zeros((d, d))),
         (d, d),
         "diffusion.const",
     )
@@ -210,11 +224,12 @@ def load_model_file(path) -> ModelSpec:
     if "jump" in raw or "intensity" in raw:
         if "jump" not in raw or "intensity" not in raw:
             raise InvalidArgumentError("model file: jump and intensity come together")
-        atoms = np.asarray(raw["intensity"].get("atoms"), dtype=float)
-        masses = np.asarray(raw["intensity"].get("masses"), dtype=float)
+        intens = _block(raw, "intensity")
+        atoms = _floats(intens.get("atoms"), "intensity.atoms")
+        masses = _floats(intens.get("masses"), "intensity.masses")
         intensity = IntensityMeasure(atoms, masses)
         mark = _matrix(
-            raw["jump"].get("mark_matrix"),
+            _block(raw, "jump").get("mark_matrix"),
             (d, intensity.mark_dim),
             "jump.mark_matrix",
         )
@@ -223,13 +238,15 @@ def load_model_file(path) -> ModelSpec:
             x = np.asarray(x, dtype=float)
             return np.broadcast_to(_mark @ np.asarray(z, dtype=float), x.shape)
 
-    consts = raw.get("constants", {})
-    constants = ModelConstants(lipschitz=float(consts.get("lipschitz", 1.0)))
+    lipschitz = _floats(_block(raw, "constants").get("lipschitz", 1.0), "constants.lipschitz")
+    if lipschitz.ndim != 0:
+        raise InvalidArgumentError("model file: constants.lipschitz must be one number")
+    constants = ModelConstants(lipschitz=float(lipschitz))
 
     return ModelSpec(
         name=str(raw["name"]),
         dim=d,
-        initial=np.asarray(raw["initial"], dtype=float),
+        initial=_floats(raw["initial"], "initial"),
         drift=drift,
         diffusion=diffusion,
         jump=jump,

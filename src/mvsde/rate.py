@@ -461,9 +461,10 @@ def ldp_rate(
     )
 
 
-def _mdp_response(spec: ModelSpec, grid: TimeGrid):
+def _mdp_response(spec: ModelSpec, grid: TimeGrid, coeffs=None):
     """Terminal response A (d, n_controls) of the moderate skeleton and the
-    quadratic cost weights w (n_controls,), controls stacked phi then tilt."""
+    quadratic cost weights w (n_controls,), controls stacked phi then tilt.
+    coeffs is _mdp_coefficients(spec, grid), built here when not given."""
     n, d, c = grid.n_steps, spec.dim, spec.n_mark_cells
     n_controls = n * (d + c)
     phi = np.zeros((n_controls, n, d))
@@ -473,7 +474,8 @@ def _mdp_response(spec: ModelSpec, grid: TimeGrid):
         phi[cols * (d + c) + i, cols, i] = 1.0
     for j in range(c):
         tilt[cols * (d + c) + d + j, cols, j] = 1.0
-    coeffs = _mdp_coefficients(spec, grid)
+    if coeffs is None:
+        coeffs = _mdp_coefficients(spec, grid)
     paths = _propagate_mdp(spec, grid, phi, tilt, coeffs=coeffs)
     a_mat = paths[:, -1, :].T  # (d, n_controls)
     w = np.empty(n_controls)
@@ -532,7 +534,8 @@ def mdp_rate(
         raise UnsupportedError(
             "moderate path pins are not supported; use a terminal pin"
         )
-    a_mat, w = _mdp_response(spec, grid)
+    coeffs = _mdp_coefficients(spec, grid)
+    a_mat, w = _mdp_response(spec, grid, coeffs=coeffs)
     d = spec.dim
     awat = (a_mat / w) @ a_mat.T  # A W^-1 A^T, (d, d)
 
@@ -577,7 +580,7 @@ def mdp_rate(
     stacked = u.reshape(n, d + c)
     control = MdpControl(grid, stacked[:, :d], stacked[:, d:])
     skel = _propagate_mdp(
-        spec, grid, control.phi[None], control.tilt[None]
+        spec, grid, control.phi[None], control.tilt[None], coeffs=coeffs
     )[0]
     path = Path(grid, skel, kind="linear")
     return RateResult(

@@ -11,9 +11,10 @@ Every simulation entry point takes the master seed; re-running with the same
 seed reproduces trajectories bit for bit, including the split between plain
 and controlled jump sampling (both consume the jump stream in the same fixed
 draw order). Lockstep lanes share one SeedBlock: per step, one Brownian
-increment and one jump proposal set, thinned by each lane with its own psi;
-a lane is bit-identical to its solo run when its psi bound equals the
-shared one, otherwise equal in law. Brownian increments are drawn only at
+increment, which each lane scales by its own sqrt(eps), and one jump
+proposal set at the run's rate bound, which each lane thins with its own
+psi and eps. A lane is bit-identical to its solo run when its rate bound is
+the run's, otherwise equal in law. Brownian increments are drawn only at
 steps where some lane's diffusion is not identically zero, so a model with
 sigma = 0 leaves the Brownian substream untouched.
 """

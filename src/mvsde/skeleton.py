@@ -100,14 +100,14 @@ def solve_limit_ode(spec: ModelSpec, grid: TimeGrid) -> Path:
     return Path(grid, nodes, kind="linear")
 
 
-def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Apply (d,d) or (n,d,d) matrices to (n,d) row vectors."""
+def _matvec(mat: np.ndarray, vec: np.ndarray, out=None) -> np.ndarray:
+    """Apply (d,d) or (n,d,d) matrices to (n,d) row vectors, into out if given."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape == (1, 1):
-        return vec * mat
+        return np.multiply(vec, mat, out=out)
     if mat.ndim == 2:
-        return vec @ mat.T
-    return np.einsum("nij,nj->ni", mat, vec)
+        return np.matmul(vec, mat.T, out=out)
+    return np.einsum("nij,nj->ni", mat, vec, out=out)
 
 
 def _coefficients(spec: ModelSpec, t, y: np.ndarray, law: LawSummary):

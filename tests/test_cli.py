@@ -175,6 +175,8 @@ _CONFIG = "n_starts and control_cells must be >= 1"
 _HALF = "halfspace normal and level must be finite"
 _TARGET = "--target must be a finite number"
 _TOL = "tol must be a finite number >= 0"
+_DISTINCT = "eps values must be distinct"
+_JOBS = "jobs must be an integer >= 1"
 
 
 @pytest.mark.parametrize(
@@ -197,6 +199,18 @@ _TOL = "tol must be a finite number >= 0"
         (["verify-mdp", "--event", "half:1.0:0.5", "--target", "0.125", "--tol", "-1"],
          _TOL),
         (["verify-limit", "--tol", "-1"], _TOL),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--eps-list", "0.2,0.2",
+          "--target", "0.125"], _DISTINCT),
+        (["verify-mdp", "--event", "half:1.0:0.5", "--eps-list", "0.01,0.004,0.010",
+          "--target", "0.125"], _DISTINCT),
+        (["verify-limit", "--eps-list", "0.1,0.2,0.1"], _DISTINCT),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--jobs", "0"],
+         _JOBS),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--jobs", "-2"],
+         _JOBS),
+        (["verify-mdp", "--event", "half:1.0:0.5", "--target", "0.125", "--jobs", "0"],
+         _JOBS),
+        (["verify-limit", "--jobs", "-1"], _JOBS),
     ],
 )
 def test_invalid_numbers_exit_2(runner, args, message):

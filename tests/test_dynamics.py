@@ -22,6 +22,7 @@ from mvsde.dynamics import (
 )
 from mvsde.dynamics import _euler_limit_path
 from mvsde.errors import DivergenceError, InvalidArgumentError
+from mvsde.levy import IntensityMeasure
 from mvsde.models import get_model
 from mvsde.rate import _mdp_response
 from mvsde.skeleton import solve_limit_ode
@@ -151,11 +152,11 @@ def test_lockstep_lanes_equal_their_solo_runs(example11, logistic):
         ),
     ):
         lanes = [
-            Lane(record="full"),
-            Lane(ctl, "companion", record="full"),
-            Lane(ctl, "self", record="full"),
+            Lane(0.02, record="full"),
+            Lane(0.02, ctl, "companion", record="full"),
+            Lane(0.02, ctl, "self", record="full"),
         ]
-        plain, frozen, selfc = simulate_lanes(spec, grid, 0.02, lanes, 48, seed=6)
+        plain, frozen, selfc = simulate_lanes(spec, grid, lanes, 48, seed=6)
         solo = simulate_mvsde(spec, grid, 0.02, 48, seed=6)
         replay = simulate_controlled_frozen(
             spec, grid, 0.02, ctl, lambda k: LawSummary.empirical(solo.paths[k]), 48, seed=6
@@ -174,7 +175,7 @@ def test_lockstep_thinning_is_monotone_in_psi(pure_jump):
     grid = make_time_grid(1.0, 50)
     ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 2.0), psi_bounds=(1.0, 2.0))
     plain, tilted = simulate_lanes(
-        pure_jump, grid, 0.05, [Lane(), Lane(ctl, "companion")], 500, seed=3
+        pure_jump, grid, [Lane(0.05), Lane(0.05, ctl, "companion")], 500, seed=3
     )
     assert np.all(tilted.terminal >= plain.terminal)
     assert tilted.meta["n_jumps"] > 1.5 * plain.meta["n_jumps"]
@@ -299,3 +300,69 @@ def test_law_at_and_mean_path(example11):
     np.testing.assert_allclose(ens.mean_path()[5], law.mean)
     with pytest.raises(InvalidArgumentError):
         simulate_mvsde(example11, grid, 0.01, 30, seed=1, record="summary").law_at(5)
+
+
+def test_ladder_rungs_equal_their_solo_runs(example11, logistic):
+    # one lane per eps over one Brownian draw per step: without jumps every
+    # rung is bit-identical to its solo run; with jumps the rung at the
+    # run's rate bound (the smallest eps) is
+    grid = make_time_grid(1.0, 60)
+    ladder = [0.2, 0.1, 0.05]
+    lanes = [Lane(eps, record="full") for eps in ladder]
+    for eps, rung in zip(ladder, simulate_lanes(example11, grid, lanes, 64, seed=8)):
+        _assert_same_run(rung, simulate_mvsde(example11, grid, eps, 64, seed=8))
+        assert rung.eps == eps
+    rungs = simulate_lanes(logistic, grid, lanes, 64, seed=8)
+    solo = simulate_mvsde(logistic, grid, 0.05, 64, seed=8)
+    _assert_same_run(rungs[-1], solo)
+    assert all(r.meta["n_proposed"] == solo.meta["n_proposed"] for r in rungs)
+    # the larger-eps rungs keep fewer of the shared proposals
+    assert rungs[0].meta["n_jumps"] < rungs[1].meta["n_jumps"] < rungs[2].meta["n_jumps"]
+
+
+def test_thinned_rungs_have_the_poisson_law(pure_jump):
+    # b = 0, sigma = 0, G = 1, nu({1}) = 1: each rung's X(1) = eps K - 1 with
+    # K ~ Poisson(1 / eps), though every rung thins the smallest eps's proposals
+    grid = make_time_grid(1.0, 50)
+    ladder = [0.2, 0.1, 0.05]
+    n = 20_000
+    rungs = simulate_lanes(pure_jump, grid, [Lane(eps) for eps in ladder], n, seed=12)
+    for eps, rung in zip(ladder, rungs):
+        counts = (rung.terminal[:, 0] + 1.0) / eps
+        np.testing.assert_allclose(counts, np.round(counts), atol=1e-9)
+        lam = 1.0 / eps
+        assert abs(counts.mean() - lam) < 4 * np.sqrt(lam / n)
+        # Var of the sample variance of Poisson(lam): (lam + 2 lam^2) / n
+        assert abs(counts.var(ddof=1) - lam) < 4 * np.sqrt((lam + 2 * lam**2) / n)
+
+
+def _mean_reader(read):
+    """logistic_mf-like model whose drift and jump read the law through read."""
+    return ModelSpec(
+        name="mean_reader",
+        dim=1,
+        initial=np.array([0.5]),
+        drift=lambda t, x, law: x * (1.0 - read(law)),
+        diffusion=lambda t, x, law: np.array([[0.5]]),
+        jump=lambda t, x, law, z: -0.2 * float(z[0]) * (x - read(law)),
+        intensity=IntensityMeasure(np.array([[1.0]]), np.array([0.5])),
+    )
+
+
+def test_lockstep_coefficients_read_the_left_endpoint_cloud():
+    # law.mean is taken when the step starts; law.cloud.mean(axis=0) is taken
+    # at the call. They agree bit for bit only if no cloud moves before every
+    # coefficient call that can read it (lane 0 moves last, jumps run on a copy)
+    grid = make_time_grid(1.0, 60)
+    ctl = Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6), psi_bounds=(0.5, 1.0))
+    runs = []
+    for read in (lambda law: law.mean, lambda law: law.cloud.mean(axis=0)):
+        lanes = [
+            Lane(0.02, record="full"),
+            Lane(0.02, ctl, "companion", record="full"),
+            Lane(0.02, ctl, "self", record="full"),
+        ]
+        runs.append(simulate_lanes(_mean_reader(read), grid, lanes, 48, seed=6))
+    for by_mean, by_cloud in zip(*runs):
+        _assert_same_run(by_mean, by_cloud)
+        assert by_mean.meta["n_jumps"] > 0

@@ -91,6 +91,21 @@ def test_json_model_validation(tmp_path):
         bad.write_text(json.dumps(raw))
         with pytest.raises(InvalidArgumentError):
             load_model_file(bad)
+    # non-numeric entries and blocks that are not objects
+    base = {"name": "x", "dim": 1, "initial": [0.0]}
+    jumps = {"jump": {"mark_matrix": [[1.0]]}, "intensity": {"atoms": [[1.0]], "masses": [1.0]}}
+    for extra in ({"initial": ["a"]}, {"initial": [[0.0], [1.0, 2.0]]},
+                  {"drift": {"const": ["b"]}}, {"drift": [1]}, {"diffusion": "s"},
+                  {"constants": {"lipschitz": "z"}}, {"constants": {"lipschitz": [1.0]}},
+                  {"constants": 2},
+                  {**jumps, "intensity": {"atoms": [["x"]], "masses": [1.0]}},
+                  {**jumps, "intensity": {"atoms": [[1.0]], "masses": ["m"]}},
+                  {**jumps, "intensity": [1.0]}, {**jumps, "jump": [[1.0]]}):
+        bad.write_text(json.dumps({**base, **extra}))
+        with pytest.raises(InvalidArgumentError):
+            load_model_file(bad)
+    bad.write_text(json.dumps({**base, **jumps}))
+    assert load_model_file(bad).n_mark_cells == 1
     lop = tmp_path / "lop.json"
     lop.write_text(
         json.dumps({"name": "x", "dim": 1, "initial": [0.0], "jump": {"mark_matrix": [[1.0]]}})

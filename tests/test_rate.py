@@ -271,6 +271,30 @@ def test_mdp_rate_exact_pin_with_nonzero_linearization():
     assert by_pin.skeleton.terminal[0] == pytest.approx(c, abs=1e-9)
 
 
+def test_mdp_rate_solves_the_limit_ode_once(monkeypatch):
+    # the response matrix and the optimal control's skeleton share one set of
+    # tangent maps, so one mdp_rate call integrates the limit ODE once
+    from mvsde import skeleton
+
+    calls = []
+    solve = skeleton.solve_limit_ode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(skeleton, "solve_limit_ode", counting)
+    grid = make_time_grid(1.0, 100)
+    for name, event in (
+        ("example11", EventSpec.pin([0.5])),
+        ("logistic_mf", EventSpec.halfspace([1.0], 0.3)),
+    ):
+        calls.clear()
+        res = mdp_rate(get_model(name), grid, event)
+        assert res.feasible
+        assert len(calls) == 1
+
+
 def test_mdp_rate_halfspace_matches_pin_in_1d(example11):
     grid = make_time_grid(1.0, 300)
     c = 0.7

@@ -161,8 +161,10 @@ def test_terminal_w2_is_the_point_mass_closed_form(model):
     eps_list, n, seed = [0.2, 0.1], 500, 7
     rep = check_limit_convergence(spec, grid, eps_list, n_particles=n, seed=seed)
     xbar = solve_limit_ode(spec, grid).terminal
+    # every rung runs from the ladder seed, and without jumps each rung is
+    # bit-identical to its solo run
     for i, eps in enumerate(eps_list):
-        ens = simulate_mvsde(spec, grid, eps, n, derive_seed(seed, "check_limit", i))
+        ens = simulate_mvsde(spec, grid, eps, n, derive_seed(seed, "check_limit", 0))
         brute = np.sqrt(np.mean(np.sum((ens.terminal - xbar) ** 2, axis=1)))
         assert rep.details["terminal_w2_to_limit"][i] == pytest.approx(brute, abs=1e-12)
 
@@ -216,3 +218,25 @@ def test_demo_memory_does_not_grow_with_steps():
             tracemalloc.stop()
 
     assert peak(800) <= 1.5 * peak(200)
+
+
+def test_ladders_do_not_depend_on_jobs(logistic):
+    # jobs is accepted, but every ladder runs its rungs as one simulation
+    # from the ladder seed, so every report is the same
+    grid = make_time_grid(1.0, 50)
+    ladder = [0.2, 0.1, 0.05]
+    runs = {
+        "ldp": lambda jobs: check_ldp(
+            logistic, grid, ladder, EventSpec.halfspace([1.0], 0.8), 1500, 5, jobs=jobs
+        ),
+        "mdp": lambda jobs: check_mdp(
+            logistic, grid, [0.02, 0.01, 0.005], EventSpec.halfspace([1.0], 0.3), 1500, 5,
+            jobs=jobs,
+        ),
+        "limit": lambda jobs: check_limit_convergence(logistic, grid, ladder, 1500, 5, jobs=jobs),
+    }
+    for kind, run in runs.items():
+        reports = [run(jobs).to_dict() for jobs in (1, 2, 3)]
+        if kind != "limit":
+            assert all(row["hits"] > 0 for row in reports[0]["rows"])
+        assert reports[0] == reports[1] == reports[2], kind
