@@ -343,6 +343,11 @@ class ModelSpec:
     def n_mark_cells(self) -> int:
         return 0 if self.intensity is None else self.intensity.n_cells
 
+    def jump_rows(self, t, x, law, z) -> np.ndarray:
+        """jump(t, x, law, z) as rows shaped like the (n, d) batch x; a (d,) value broadcasts."""
+        g = np.asarray(self.jump(t, x, law, z), dtype=float).reshape(-1, self.dim)
+        return np.broadcast_to(g, np.shape(x))
+
 
 @dataclass(frozen=True)
 class DriftProbeReport:

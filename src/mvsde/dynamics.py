@@ -32,8 +32,10 @@ Each cloud moves in place through step buffers shared by all lanes. Every
 coefficient call still sees the left-endpoint cloud through law.cloud: the
 jump coefficients run on a gathered copy of the jumping particles'
 post-drift states, and lane 0, the companion law source, moves last. The
-step's jumps are sampled inside the loop (levy.propose_step and
-levy.thin_step), so memory holds one step's jumps, not the horizon's.
+step's jumps are sampled inside the loop, sorted once (levy.propose_step)
+and masked per lane (levy.thin_step), so no lane sorts and memory holds one
+step's jumps, not the horizon's. The compensator is summed atom by atom;
+with three or more mark atoms its last bit can differ from an einsum's.
 Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
@@ -203,27 +205,28 @@ def _check_eps(eps: float, warnings: list):
 
 
 def _apply_jumps(streams, times, cells, ranks, x, incr, law, spec, eps):
-    """Apply one step's accepted jumps, sorted by (rank, stream), in
+    """Apply one step's accepted jumps, given in (stream, time) order, in
     per-particle time order to the post-drift states x + incr of the
     particles that jump. The jump coefficients run on a gathered copy, so x
     (which law.cloud may be) keeps the step's left endpoint; returns the
     jumping particles and their end-of-step states."""
-    # rank 0 holds every jumping particle once, in stream order
-    movers = streams[: int(np.searchsorted(ranks, 1))]
-    moved = x[movers] + incr[movers]
-    pos = 0
-    r = 0
-    while pos < ranks.size:
-        end = int(np.searchsorted(ranks, r + 1))
-        slot = np.searchsorted(movers, streams[pos:end])
-        for j in np.flatnonzero(np.bincount(cells[pos:end])):
-            sel = np.flatnonzero(cells[pos:end] == j)
+    # rank 0 holds every jumping particle once, in stream order, and a
+    # stream's jump of rank r + 1 sits right after its jump of rank r
+    head = np.append(ranks == 0, True)
+    now = np.flatnonzero(head[:-1])
+    movers = streams[now]
+    moved = np.take(x, movers, axis=0) + np.take(incr, movers, axis=0)
+    slot = np.arange(movers.size)
+    while now.size:
+        cells_now = cells[now]
+        present = np.flatnonzero(np.bincount(cells_now))
+        for j in present:
+            sel = slice(None) if present.size == 1 else np.flatnonzero(cells_now == j)
             at = slot[sel]
-            z = spec.intensity.atoms[j]
-            g = spec.jump(times[pos + sel], moved[at], law, z)
-            moved[at] += eps * np.asarray(g, dtype=float).reshape(at.size, -1)
-        pos = end
-        r += 1
+            g = spec.jump_rows(times[now[sel]], moved[at], law, spec.intensity.atoms[j])
+            moved[at] += eps * g
+        more = np.flatnonzero(~head[now + 1])
+        now, slot = now[more] + 1, slot[more]
     return movers, moved
 
 
@@ -299,22 +302,16 @@ def simulate_lanes(
                 phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
                 incr += dt * _matvec(sig, phi_k)
             if spec.has_jumps:
-                g_stack = np.stack(
-                    [
-                        np.broadcast_to(
-                            np.asarray(spec.jump(t_k, x, law, z), dtype=float),
-                            (big_n, d),
-                        )
-                        for z in spec.intensity.atoms
-                    ],
-                    axis=1,
-                )  # (N, C, d)
-                incr -= dt * np.einsum("ncd,c->nd", g_stack, spec.intensity.masses)
-                stream, time, cell, rank = thin_step(proposal, thin_psi[i][k])
-                n_jumps[i] += stream.size
-                movers, moved = _apply_jumps(
-                    stream, time, cell, rank, x, incr, law, spec, lanes[i].eps
-                )
+                # the compensator, atom by atom into the free noise buffer
+                atoms, masses = spec.intensity.atoms, spec.intensity.masses
+                np.multiply(spec.jump_rows(t_k, x, law, atoms[0]), masses[0], out=noise)
+                for z, mass in zip(atoms[1:], masses[1:]):
+                    noise += spec.jump_rows(t_k, x, law, z) * mass
+                noise *= dt
+                incr -= noise
+                jumps = thin_step(proposal, thin_psi[i][k])
+                n_jumps[i] += jumps[0].size
+                movers, moved = _apply_jumps(*jumps, x, incr, law, spec, lanes[i].eps)
             x += incr
             if spec.has_jumps:
                 x[movers] = moved

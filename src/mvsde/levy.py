@@ -4,15 +4,16 @@ Sampling is by thinning from the dominating intensity rate_scale * hi * nu:
 a proposed jump at (s, z_j) is accepted iff u * hi < psi(s, z_j) with
 u ~ U[0,1). The engine samples one time cell at a time, so memory holds
 the jumps of one step, never the whole horizon. Each step is one proposal
-draw (propose_step) followed by one thin-and-rank pass per psi row
-(thin_step); lanes stepped in lockstep share the proposals, drawn at the
-run's rate bound, and each thins them with its own psi, scaled by its own
-eps (dynamics.simulate_lanes). Per step
-the draw order is fixed: Poisson proposal counts per cell for all streams
-together (superposition), then a uniform stream index per proposal, then
-its in-step time uniform, then its acceptance uniform. Counts depend only
-on hi, never on psi, so two runs from the same generator state with the
-same hi propose identical jumps and differ only through psi, and a jump
+draw, sorted once by (stream, time) after the draws (propose_step), then
+one sort-free pass per psi row that thins with a mask and ranks with a
+running count (thin_step); lanes stepped in lockstep share the proposals,
+drawn at the run's rate bound, and each thins them with its own psi,
+scaled by its own eps (dynamics.simulate_lanes). Per step the draw order
+is fixed: Poisson proposal counts per cell for all streams together
+(superposition), then a uniform stream index per proposal, then its
+in-step time uniform, then its acceptance uniform. Counts depend only on
+hi, never on psi, so two runs from the same generator state with the same
+hi propose identical jumps and differ only through psi, and a jump
 accepted at psi is accepted at every psi' >= psi. The plain sampler is the
 controlled one with psi = 1, hi = 1 (every proposal accepted), which makes
 the null-control coupling exact, bit for bit.
@@ -112,38 +113,35 @@ def propose_step(
     rng: np.random.Generator,
 ):
     """Proposed jumps of one time cell [t0, t0 + dt) at the dominating rate
-    rate_scale * hi * nu: (stream, time, cell, u * hi, n_streams)."""
+    rate_scale * hi * nu: (stream, time, cell, u * hi), sorted by (stream, time)."""
     # Proposal counts per cell for all streams at once (superposition).
     lam = n_streams * rate_scale * hi * dt * intensity.masses
     cell = np.repeat(np.arange(intensity.n_cells), rng.poisson(lam))
     stream = rng.integers(0, n_streams, size=cell.size)
     # Times are drawn per proposal, independent of its cell and its stream.
-    time = t0 + rng.random(cell.size) * dt
-    return stream, time, cell, rng.random(cell.size) * hi, n_streams
+    u = rng.random(cell.size)
+    u_hi = rng.random(cell.size) * hi
+    # One quicksort on an exact integer key: the stream in the high bits, the
+    # leading bits of u (time is monotone in u) below it.
+    bits = min(53, 63 - int(n_streams - 1).bit_length())
+    order = np.argsort((u * 2.0**bits).astype(np.int64) | stream << bits)
+    return tuple(np.take(a, order) for a in (stream, t0 + u * dt, cell, u_hi))
 
 
 def thin_step(proposal, psi_k: np.ndarray):
     """Keep the proposals with u * hi < psi_k[cell] and rank them.
 
-    Returns (stream, time, cell, rank), sorted by (rank, stream): within a
-    rank every stream appears at most once.
+    Returns (stream, time, cell, rank) in the proposals' (stream, time)
+    order, where rank is the occurrence index of a jump within its stream.
     """
-    stream, time, cell, u_hi, n_streams = proposal
-    keep = u_hi < psi_k[cell]
-    stream, time, cell = stream[keep], time[keep], cell[keep]
-
-    # Sort by time, then by the unique key (stream, position in time order):
-    # each stream's jumps become contiguous and time-ordered. Rank them, then
-    # order by (rank, stream) through the unique key rank * n_streams + stream.
-    by_time = np.argsort(time)
+    stream, time, cell, u_hi = proposal
+    # integer gathers beat boolean compresses on a random keep mask
+    keep = np.flatnonzero(u_hi < psi_k[cell])
+    if keep.size < stream.size:
+        stream, time, cell = (np.take(a, keep) for a in (stream, time, cell))
     idx = np.arange(stream.size)
-    order = by_time[np.argsort(stream[by_time] * stream.size + idx)]
-    stream, time, cell = stream[order], time[order], cell[order]
-    first = np.ones(stream.size, dtype=bool)
-    np.not_equal(stream[1:], stream[:-1], out=first[1:])
-    rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
-    order = np.argsort(rank * n_streams + stream)
-    return stream[order], time[order], cell[order], rank[order]
+    first = np.concatenate(([True], stream[1:] != stream[:-1]))
+    return stream, time, cell, idx - np.maximum.accumulate(np.where(first, idx, 0))
 
 
 def sample_step(
@@ -174,12 +172,12 @@ def _sample_thinned(
         raise InvalidArgumentError("rate_scale must be positive and finite")
     if n_streams < 1:
         raise InvalidArgumentError("n_streams must be >= 1")
-    steps = [
-        sample_step(
-            intensity, rate_scale, grid.nodes[k], grid.dt[k], psi[k], hi, n_streams, rng
-        )
-        for k in range(grid.n_steps)
-    ]
+    steps = []
+    for t0, dt, psi_k in zip(grid.nodes, grid.dt, psi):
+        *jumps, proposed = sample_step(intensity, rate_scale, t0, dt, psi_k, hi, n_streams, rng)
+        # a stable sort by rank turns (stream, time) order into (rank, stream)
+        by_rank = np.argsort(jumps[3], kind="stable")
+        steps.append((*(a[by_rank] for a in jumps), proposed))
     stream, time, cell, rank, proposed = zip(*steps)
     sizes = [s.size for s in stream]
     return JumpStream(

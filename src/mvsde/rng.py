@@ -5,18 +5,18 @@ substreams, fixed in this order:
 
     index 0 -> brownian increments
     index 1 -> jump sampling (per step: counts, stream indices, times,
-               acceptance uniforms)
+               acceptance uniforms; sorted by (stream, time) only after)
 
 Every simulation entry point takes the master seed; re-running with the same
 seed reproduces trajectories bit for bit, including the split between plain
 and controlled jump sampling (both consume the jump stream in the same fixed
 draw order). Lockstep lanes share one SeedBlock: per step, one Brownian
 increment, which each lane scales by its own sqrt(eps), and one jump
-proposal set at the run's rate bound, which each lane thins with its own
-psi and eps. A lane is bit-identical to its solo run when its rate bound is
-the run's, otherwise equal in law. Brownian increments are drawn only at
-steps where some lane's diffusion is not identically zero, so a model with
-sigma = 0 leaves the Brownian substream untouched.
+proposal set at the run's rate bound, sorted once, that each lane masks
+with its own psi and eps. A lane is bit-identical to its solo run when its
+rate bound is the run's, otherwise equal in law. Brownian increments are
+drawn only at steps where some lane's diffusion is not identically zero,
+so a model with sigma = 0 leaves the Brownian substream untouched.
 """
 from __future__ import annotations
 

@@ -74,8 +74,8 @@ def _field(spec: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def _guard(x: np.ndarray, step: int, what: str = "limit dynamics"):
-    # one pass; NaN fails the comparison, so it trips the guard too
-    if not np.abs(x).max() <= _DIVERGENCE_LIMIT:
+    # no temporary; NaN fails the comparisons, so it trips the guard too
+    if not (x.max() <= _DIVERGENCE_LIMIT and x.min() >= -_DIVERGENCE_LIMIT):
         raise DivergenceError(f"{what} diverged at step {step}", step=step)
 
 
@@ -119,7 +119,7 @@ def _coefficients(spec: ModelSpec, t, y: np.ndarray, law: LawSummary):
     atoms = spec.intensity.atoms if spec.has_jumps else ()
     g = np.zeros((n, len(atoms), d))
     for j, z in enumerate(atoms):
-        g[:, j] = np.asarray(spec.jump(t, y, law, z), dtype=float).reshape(n, d)
+        g[:, j] = spec.jump_rows(t, y, law, z)
     return b, sig, g
 
 

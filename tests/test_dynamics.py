@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,9 +26,9 @@ from mvsde.dynamics import (
 from mvsde.dynamics import _euler_limit_path
 from mvsde.errors import DivergenceError, InvalidArgumentError
 from mvsde.levy import IntensityMeasure
-from mvsde.models import get_model
+from mvsde.models import get_model, load_model_file
 from mvsde.rate import _mdp_response
-from mvsde.skeleton import solve_limit_ode
+from mvsde.skeleton import solve_ldp_skeleton, solve_limit_ode
 
 # forward Euler applied to x' = x from 1.0 on 400 equal cells
 EULER_400 = 2.7148917443812293
@@ -193,6 +196,22 @@ def test_divergence_guard_catches_nan():
     grid = make_time_grid(1.0, 100)
     with pytest.raises(DivergenceError) as err:
         simulate_mvsde(nan_late, grid, 1e-4, 8, seed=0)
+    assert err.value.step == 50
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_divergence_guard_catches_inf(bad):
+    # the drift turns +-inf at t = 0.5 (step 50); the guard stops the run there
+    inf_late = ModelSpec(
+        name="inf_late",
+        dim=1,
+        initial=np.array([1.0]),
+        drift=lambda t, x, law: np.full_like(x, bad) if t > 0.495 else x,
+        diffusion=lambda t, x, law: np.eye(1),
+    )
+    grid = make_time_grid(1.0, 100)
+    with pytest.raises(DivergenceError) as err:
+        simulate_mvsde(inf_late, grid, 1e-4, 8, seed=0)
     assert err.value.step == 50
 
 
@@ -366,3 +385,94 @@ def test_lockstep_coefficients_read_the_left_endpoint_cloud():
     for by_mean, by_cloud in zip(*runs):
         _assert_same_run(by_mean, by_cloud)
         assert by_mean.meta["n_jumps"] > 0
+
+
+def _affine_jump_model(tmp_path, n_atoms):
+    """A two-dimensional JSON model with n_atoms mark atoms."""
+    raw = {
+        "name": f"affine_{n_atoms}_atoms",
+        "dim": 2,
+        "initial": [0.5, 0.5],
+        "drift": {"linear_mean": [[-0.5, 0.0], [0.0, -0.5]]},
+        "diffusion": {"const": [[0.3, 0.0], [0.0, 0.3]]},
+        "jump": {"mark_matrix": [[1.0], [-0.5]]},
+        "intensity": {
+            "atoms": [[1.0], [-0.5], [0.25]][:n_atoms],
+            "masses": [2.0, 1.0, 0.7][:n_atoms],
+        },
+    }
+    path = tmp_path / f"affine_{n_atoms}.json"
+    path.write_text(json.dumps(raw))
+    return load_model_file(path)
+
+
+def _ladder(spec):
+    grid = make_time_grid(1.0, 100)
+    return simulate_lanes(spec, grid, [Lane(eps) for eps in (0.2, 0.1, 0.05)], 3000, seed=11)
+
+
+def _terminal_sha256(rungs):
+    return hashlib.sha256(b"".join(r.terminal.tobytes() for r in rungs)).hexdigest()
+
+
+# sha256 of the three terminal clouds of _ladder, taken when thin_step still
+# ranked with three argsorts per lane and the compensator was one einsum
+LADDER_SHA256 = {
+    "pure_jump": "cf84bd42e2348e67df9d98aac96aba904573b9cfef64b3bb1c9bcf125bf420b6",
+    "logistic_mf": "a637173a21324d7f07e7670c4b654ae26bea38174fc70324d8f157266ec66e93",
+    "two_atoms": "9f7f4210e4a6b9cad87c748fe1d2dba578c747307731d086ee62c3bc3187267d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_SHA256))
+def test_jump_ladders_keep_their_bits(name, tmp_path):
+    spec = _affine_jump_model(tmp_path, 2) if name == "two_atoms" else get_model(name)
+    assert _terminal_sha256(_ladder(spec)) == LADDER_SHA256[name]
+
+
+def test_three_atom_compensator_agrees_with_einsum_to_rounding(tmp_path):
+    # summed atom by atom, a three-atom compensator can round differently
+    # from the (N, C, d) einsum that the means below were taken with
+    einsum_means = [
+        [0.3085869075201868, 0.30017271753705266],
+        [0.30875245340824947, 0.30004942459432454],
+        [0.3071527122860539, 0.30082064318956875],
+    ]
+    rungs = _ladder(_affine_jump_model(tmp_path, 3))
+    means = [r.terminal.mean(axis=0) for r in rungs]
+    np.testing.assert_allclose(means, einsum_means, rtol=1e-13, atol=0)
+
+
+def test_one_row_jump_coefficient_broadcasts(pure_jump):
+    # G returning one (d,) row means that row for every particle, in the
+    # particle engine and in the skeleton alike
+    one_row = dataclasses.replace(pure_jump, jump=lambda t, x, law, z: np.ones(1))
+    grid = make_time_grid(1.0, 50)
+    a = simulate_mvsde(one_row, grid, 0.05, 200, seed=3)
+    b = simulate_mvsde(pure_jump, grid, 0.05, 200, seed=3)
+    assert a.meta["n_jumps"] > 0
+    _assert_same_run(a, b)
+    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 1.5), psi_bounds=(1.5, 1.5))
+    np.testing.assert_array_equal(
+        solve_ldp_skeleton(one_row, grid, ctl).path.values,
+        solve_ldp_skeleton(pure_jump, grid, ctl).path.values,
+    )
+
+
+def test_lanes_share_one_sort_per_step(pure_jump, monkeypatch):
+    # the proposals are sorted once per step, whatever the number of lanes
+    calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    grid = make_time_grid(1.0, 40)
+    counts = []
+    for ladder in ([0.05], [0.2, 0.1, 0.05]):
+        calls.clear()
+        simulate_lanes(pure_jump, grid, [Lane(eps) for eps in ladder], 500, seed=2)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -68,11 +68,48 @@ def test_step_sampler_cells_are_independent_of_time_and_rank():
         np.testing.assert_allclose(counts / sel.sum(), share, atol=0.02)
     for j in range(2):
         assert time[cell == j].mean() == pytest.approx(0.5, abs=0.02)
-    # engine order (rank, stream), and every stream's first jump is its earliest
-    np.testing.assert_array_equal(np.lexsort((stream, rank)), np.arange(stream.size))
+    # engine order (stream, time), and every stream's first jump is its earliest
+    np.testing.assert_array_equal(np.lexsort((time, stream)), np.arange(stream.size))
     first = np.full(n, np.inf)
     np.minimum.at(first, stream, time)
     np.testing.assert_array_equal(time[rank == 0], first[stream[rank == 0]])
+
+
+def _rank_by_sorting(proposal, psi_k, n_streams):
+    """Reference ranking by three argsorts (time, then (stream, position),
+    then (rank, stream)); returns (stream, time, cell, rank) by (rank, stream)."""
+    stream, time, cell, u_hi = proposal
+    keep = u_hi < psi_k[cell]
+    stream, time, cell = stream[keep], time[keep], cell[keep]
+    by_time = np.argsort(time)
+    idx = np.arange(stream.size)
+    order = by_time[np.argsort(stream[by_time] * stream.size + idx)]
+    stream, time, cell = stream[order], time[order], cell[order]
+    first = np.ones(stream.size, dtype=bool)
+    np.not_equal(stream[1:], stream[:-1], out=first[1:])
+    rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    order = np.argsort(rank * n_streams + stream)
+    return stream[order], time[order], cell[order], rank[order]
+
+
+def test_sort_free_ranks_match_the_sorting_reference():
+    # dense two-cell proposals (about 18 per stream at hi = 2) on 2^8 + 1
+    # streams; the reference sees them shuffled, so it cannot lean on the
+    # (stream, time) order that propose_step hands to thin_step
+    m = two_cell()
+    n_streams = 257
+    rng = np.random.default_rng(21)
+    proposal = propose_step(m, 3.0, 0.25, 2.0, 2.0, n_streams, rng)
+    perm = rng.permutation(proposal[0].size)
+    shuffled = tuple(a[perm] for a in proposal)
+    for psi_k in ([1.0, 1.0], [0.5, 2.0], [2.0, 2.0], [0.1, 1.3], [2.0, 0.0]):
+        psi_k = np.array(psi_k)
+        got = thin_step(proposal, psi_k)
+        by_rank = np.lexsort((got[0], got[3]))
+        want = _rank_by_sorting(shuffled, psi_k, n_streams)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a[by_rank], b)
+        assert got[3].max() >= 5
 
 
 def test_shared_proposals_thin_monotonically():
