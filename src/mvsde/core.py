@@ -39,6 +39,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _as_rows(value, x, dim: int) -> np.ndarray:
+    """A coefficient value as rows shaped like the (n, d) batch x."""
+    rows = np.asarray(value, dtype=float).reshape(-1, dim)
+    return np.broadcast_to(rows, np.shape(x))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nodes 0 = t_0 < ... < t_n = horizon."""
@@ -343,10 +349,13 @@ class ModelSpec:
     def n_mark_cells(self) -> int:
         return 0 if self.intensity is None else self.intensity.n_cells
 
+    def drift_rows(self, t, x, law) -> np.ndarray:
+        """drift(t, x, law) as rows shaped like the (n, d) batch x; a (d,) value broadcasts."""
+        return _as_rows(self.drift(t, x, law), x, self.dim)
+
     def jump_rows(self, t, x, law, z) -> np.ndarray:
         """jump(t, x, law, z) as rows shaped like the (n, d) batch x; a (d,) value broadcasts."""
-        g = np.asarray(self.jump(t, x, law, z), dtype=float).reshape(-1, self.dim)
-        return np.broadcast_to(g, np.shape(x))
+        return _as_rows(self.jump(t, x, law, z), x, self.dim)
 
 
 @dataclass(frozen=True)

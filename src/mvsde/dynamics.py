@@ -40,6 +40,18 @@ Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
 
+Work that lanes share is done once per step, in the same operations and
+order as per lane, so no bit changes: one LawSummary per cloud read (a
+"companion" lane reuses lane 0's); sigma dW once, in the place of dW, when
+every lane's sigma is the same constant (d, d) matrix (a state-dependent
+(n, d, d) sigma stays per lane); its sqrt(eps) scaling once per run of
+lanes of one eps; and a law-only drift (rows all equal: a (d,) value, or a
+view with row stride 0) scaled as one row and added in the noise pass,
+fl(n + fl(dt b)) = fl(fl(dt b) + n). The scaled noise stays valid across
+lanes until a buffer takes it as scratch: the compensator does, and
+invalidates it; the recorder takes the increment buffer instead, which is
+free once the cloud has moved.
+
 The moderate lane is the same engine read in fluctuation coordinates
 M = (X - xbar) / a (_moderate_lane). Under the null control it runs the
 plain particle system; under a control (phi, tilt) it runs the frozen-law
@@ -239,6 +251,8 @@ def simulate_lanes(
 ) -> list:
     """Step the lanes in lockstep over one set of draws per step (see the
     module docstring); returns one ParticleEnsemble per lane."""
+    if not lanes:
+        raise InvalidArgumentError("simulate_lanes needs at least one lane")
     warnings = [[] for _ in lanes]
     for lane, notes in zip(lanes, warnings):
         _check_eps(lane.eps, notes)
@@ -246,6 +260,11 @@ def simulate_lanes(
         raise InvalidArgumentError("n_particles must be >= 1")
     controls = [_lane_control(lane.control, spec, grid) for lane in lanes]
     sources = [_law_source(lane.law, grid) for lane in lanes]
+    # the cloud whose empirical law each lane reads (None: a frozen flow)
+    clouds = [
+        None if callable(src) else (i if src == "self" else 0) for i, src in enumerate(sources)
+    ]
+    read_clouds = set(clouds) - {None}
     # proposals at rate (1 / eps_ref) * hi * nu dominate every lane's
     # psi_i / eps_i; lane i keeps one iff u * hi < psi_i(cell) * eps_ref / eps_i
     eps_ref = min(lane.eps for lane in lanes)
@@ -261,12 +280,13 @@ def simulate_lanes(
         _Recorder(lane.record, n + 1, big_n, d, _as_reference(lane.reference, grid, d))
         for lane in lanes
     ]
-    # step buffers shared by all lanes: the Brownian increment, one lane's
-    # increment and its sigma dW (then the recorders' scratch)
+    # step buffers shared by all lanes: the Brownian increment (or sigma dW
+    # when every lane has the same constant sigma), one lane's increment (then
+    # the recorders' scratch) and its sqrt(eps) sigma dW (then the compensator's)
     dw, incr, noise = (np.empty((big_n, d)) for _ in range(3))
     xs = [np.tile(spec.initial, (big_n, 1)) for _ in lanes]
     for rec, x in zip(recs, xs):
-        rec.record(0, x, noise)
+        rec.record(0, x, incr)
     sqrt_eps = [float(np.sqrt(lane.eps)) for lane in lanes]
     phi_active = [bool(ctl.phi.any()) for ctl in controls]
     # lane 0 is the companion law source, so it moves last
@@ -277,25 +297,43 @@ def simulate_lanes(
         dt = float(grid.dt[k])
         # every lane reads its law at the left endpoint: no cloud moves until
         # every coefficient call that can read it is done
-        laws = [
-            src(k) if callable(src) else LawSummary.empirical(x if src == "self" else xs[0])
-            for x, src in zip(xs, sources)
-        ]
+        empirical = {c: LawSummary.empirical(xs[c]) for c in read_clouds}
+        laws = [src(k) if c is None else empirical[c] for src, c in zip(sources, clouds)]
         sigs = [spec.diffusion(t_k, x, law) for x, law in zip(xs, laws)]
-        if any(np.any(sig) for sig in sigs):
+        noisy = [bool(np.any(sig)) for sig in sigs]
+        if any(noisy):
             sb.brownian.standard_normal(out=dw)
             dw *= np.sqrt(dt)
+        shared_sig = (
+            noisy[0]
+            and np.ndim(sigs[0]) == 2
+            and all(np.array_equal(sig, sigs[0]) for sig in sigs[1:])
+        )
+        if shared_sig:
+            # sigma dW into the noise buffer, which stands in for dW this step
+            _matvec(sigs[0], dw, out=noise)
+            dw, noise = noise, dw
+        noise_scale = None  # the sqrt(eps) that noise holds sigma dW at
         if spec.has_jumps:
             proposal = propose_step(spec.intensity, 1.0 / eps_ref, t_k, dt, hi, big_n, sb.jumps)
             n_proposed += proposal[0].size
         for i in order:
             x, law, sig, ctl = xs[i], laws[i], sigs[i], controls[i]
-            drift = np.asarray(spec.drift(t_k, x, law), dtype=float)
-            np.multiply(dt, np.broadcast_to(drift, (big_n, d)), out=incr)
-            if np.any(sig):
+            if noisy[i] and not shared_sig:
                 _matvec(sig, dw, out=noise)
                 noise *= sqrt_eps[i]
-                incr += noise
+            elif noisy[i] and noise_scale != sqrt_eps[i]:
+                np.multiply(dw, sqrt_eps[i], out=noise)
+                noise_scale = sqrt_eps[i]
+            drift = spec.drift_rows(t_k, x, law)
+            if noisy[i] and drift.strides[0] == 0:
+                # a law-only drift: scale its one row and add it in the noise
+                # pass, the same bits as dt * b + noise
+                np.add(noise, dt * drift[0], out=incr)
+            else:
+                np.multiply(dt, drift, out=incr)
+                if noisy[i]:
+                    incr += noise
             if phi_active[i]:
                 # a (d, d) sigma gives one (1, d) row sigma phi_k for all particles
                 row = ctl.phi[k][None]
@@ -309,6 +347,7 @@ def simulate_lanes(
                     noise += spec.jump_rows(t_k, x, law, z) * mass
                 noise *= dt
                 incr -= noise
+                noise_scale = None
                 jumps = thin_step(proposal, thin_psi[i][k])
                 n_jumps[i] += jumps[0].size
                 movers, moved = _apply_jumps(*jumps, x, incr, law, spec, lanes[i].eps)
@@ -316,7 +355,7 @@ def simulate_lanes(
             if spec.has_jumps:
                 x[movers] = moved
             _guard(x, k, "particle system")
-            recs[i].record(k + 1, x, noise)
+            recs[i].record(k + 1, x, incr)
 
     return [
         ParticleEnsemble(grid, lane.eps, big_n, d, int(seed), "state", x, rec.paths, rec.sup_sq, {

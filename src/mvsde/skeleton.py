@@ -114,7 +114,7 @@ def _coefficients(spec: ModelSpec, t, y: np.ndarray, law: LawSummary):
     """Drift (n, d), diffusion ((d, d) or (n, d, d)) and the jump columns
     (n, C, d), one per mark atom, at a row batch y of states."""
     n, d = y.shape
-    b = np.asarray(spec.drift(t, y, law), dtype=float).reshape(n, d)
+    b = spec.drift_rows(t, y, law)
     sig = np.asarray(spec.diffusion(t, y, law), dtype=float)
     atoms = spec.intensity.atoms if spec.has_jumps else ()
     g = np.zeros((n, len(atoms), d))
@@ -143,11 +143,10 @@ def solve_ldp_skeleton(
     elif limit_path.grid != grid:
         raise GridMismatchError("limit path lives on a different grid")
     xbar = limit_path.values
-    n, d = grid.n_steps, spec.dim
     t = grid.nodes
     dt = grid.dt[:, None]
     law = LawSummary.dirac(xbar)
-    b_base = np.asarray(spec.drift(t, xbar, law), dtype=float).reshape(n + 1, d)
+    b_base = spec.drift_rows(t, xbar, law)
     phi = control.phi
     tilt_w = (control.psi - 1.0) * spec.intensity.masses if spec.has_jumps else None
 
@@ -209,7 +208,7 @@ def jacobian_b_x(
 
     def field(y: np.ndarray) -> np.ndarray:
         if phi is None:
-            return np.asarray(spec.drift(t, y, law), dtype=float).reshape(n, d)
+            return spec.drift_rows(t, y, law)
         b, sig, g = _coefficients(spec, t, y, law)
         return b + _matvec(sig, phi) + np.einsum("ncd,nc->nd", g, tilt_w)
 

@@ -411,8 +411,14 @@ def _ladder(spec):
     return simulate_lanes(spec, grid, [Lane(eps) for eps in (0.2, 0.1, 0.05)], 3000, seed=11)
 
 
-def _terminal_sha256(rungs):
-    return hashlib.sha256(b"".join(r.terminal.tobytes() for r in rungs)).hexdigest()
+def _lanes_sha256(lanes):
+    """sha256 of the lanes' terminal clouds, each followed by its sup_sq if any."""
+    h = hashlib.sha256()
+    for r in lanes:
+        h.update(r.terminal.tobytes())
+        if r.sup_sq is not None:
+            h.update(r.sup_sq.tobytes())
+    return h.hexdigest()
 
 
 # sha256 of the three terminal clouds of _ladder, taken when thin_step still
@@ -427,7 +433,7 @@ LADDER_SHA256 = {
 @pytest.mark.parametrize("name", sorted(LADDER_SHA256))
 def test_jump_ladders_keep_their_bits(name, tmp_path):
     spec = _affine_jump_model(tmp_path, 2) if name == "two_atoms" else get_model(name)
-    assert _terminal_sha256(_ladder(spec)) == LADDER_SHA256[name]
+    assert _lanes_sha256(_ladder(spec)) == LADDER_SHA256[name]
 
 
 def test_three_atom_compensator_agrees_with_einsum_to_rounding(tmp_path):
@@ -476,3 +482,102 @@ def test_lanes_share_one_sort_per_step(pure_jump, monkeypatch):
         simulate_lanes(pure_jump, grid, [Lane(eps) for eps in ladder], 500, seed=2)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _shared_work_cases(name):
+    grid = make_time_grid(1.0, 100)
+    if name == "ladder":
+        spec = get_model("example11")
+        limit = solve_limit_ode(spec, grid)
+        return spec, grid, [Lane(eps, reference=limit) for eps in (0.2, 0.1, 0.05)]
+    if name == "demo":
+        spec = get_model("example11")
+        ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
+        return spec, grid, [Lane(0.01), Lane(0.01, ctl, "companion"), Lane(0.01, ctl, "self")]
+    if name == "state_sigma":
+        # a state-dependent (n, d, d) sigma: every lane forms its own sigma dW
+        spec = dataclasses.replace(
+            get_model("example11"),
+            diffusion=lambda t, x, law: (0.5 + 0.25 * np.sin(x))[:, :, None],
+        )
+        ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
+        return spec, grid, [Lane(0.01), Lane(0.01, ctl, "companion"), Lane(0.01, ctl, "self")]
+    if name == "law_sigma":
+        # a (d, d) sigma read from the law: the frozen and self lanes differ
+        spec = dataclasses.replace(
+            get_model("logistic_mf"),
+            diffusion=lambda t, x, law: 0.5 * (1.0 + law.mean**2)[None],
+        )
+        c = spec.n_mark_cells
+        ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5), psi_bounds=(1.5, 1.5))
+        limit = solve_limit_ode(spec, grid)
+        return spec, grid, [Lane(0.05), Lane(0.05, ctl, limit, limit), Lane(0.05, ctl, "self")]
+    spec = get_model(name.removeprefix("frozen_"))
+    c = spec.n_mark_cells
+    ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5), psi_bounds=(1.5, 1.5))
+    skeleton = solve_ldp_skeleton(spec, grid, ctl).path
+    return spec, grid, [Lane(0.05), Lane(0.05, ctl, "companion", skeleton)]
+
+
+# sha256 of the terminal clouds (and sup_sq, where a reference is given) of
+# _shared_work_cases, taken when every lane formed its own law, sigma dW,
+# sqrt(eps) scaling and drift increment: an example11 ladder of distinct eps,
+# the demo's three equal-eps lanes, and a frozen lane tracking its skeleton
+# next to its companion (example11, and logistic_mf with jumps), and two
+# models whose lanes do not share sigma: a state-dependent one and, with
+# jumps, one read from the law
+SHARED_WORK_SHA256 = {
+    "ladder": "efaf72a837e97e69cebe44887874eddb6fb238c0dd350a055f626f4c270c4a42",
+    "demo": "4eb32b86ed2a6bd43f801d3b868235b01642f8a68eec23b53ccfdbea53c40a4f",
+    "frozen_example11": "a3c60f6ffdd08892f8760f7dd7257d312450ff3a17d0ab2cd7e5e1b7d9d28120",
+    "frozen_logistic_mf": "a0f8dc5c41ad5ee0bae8c6cf049439477f114f6fdf0330ca338fb950d4d623a7",
+    "state_sigma": "0f62911383be8bf49461c9251c21d35773acc3aab0f057ecf75210f4c7e0a6cb",
+    "law_sigma": "968257cf553fc8cc113163635194e3fef7d50d302343856d255684af1863e7a6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_WORK_SHA256))
+def test_shared_step_work_keeps_the_bits(name):
+    spec, grid, lanes = _shared_work_cases(name)
+    rungs = simulate_lanes(spec, grid, lanes, 3000, seed=11)
+    assert _lanes_sha256(rungs) == SHARED_WORK_SHA256[name]
+
+
+def test_ladder_forms_sigma_dw_once_per_step(example11, monkeypatch):
+    # a ladder of one constant sigma applies sigma to the Brownian increment
+    # once per step, not once per lane
+    import mvsde.dynamics as dynamics
+
+    n_particles, n_steps = 300, 40
+    brownian = []
+    matvec = dynamics._matvec
+
+    def counting_matvec(mat, vec, out=None):
+        brownian.append(np.shape(vec)[0] == n_particles)
+        return matvec(mat, vec, out=out)
+
+    monkeypatch.setattr(dynamics, "_matvec", counting_matvec)
+    grid = make_time_grid(1.0, n_steps)
+    simulate_lanes(example11, grid, [Lane(eps) for eps in (0.2, 0.1, 0.05)], n_particles, 3)
+    assert sum(brownian) == n_steps
+
+
+def test_demo_builds_two_laws_per_step(monkeypatch):
+    # the companion lane reuses lane 0's law: 2 empirical laws per step, not 3
+    from mvsde.verify import demo_frozen_vs_selfconsistent
+
+    laws = []
+    empirical = LawSummary.empirical.__func__
+
+    def counting_empirical(cls, cloud):
+        laws.append(1)
+        return empirical(cls, cloud)
+
+    monkeypatch.setattr(LawSummary, "empirical", classmethod(counting_empirical))
+    demo_frozen_vs_selfconsistent(eps=0.01, n_particles=300, n_steps=40)
+    assert len(laws) == 2 * 40
+
+
+def test_empty_lane_list_is_a_typed_error(example11):
+    with pytest.raises(InvalidArgumentError):
+        simulate_lanes(example11, make_time_grid(1.0, 10), [], 10, seed=0)

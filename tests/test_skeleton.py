@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mvsde.core import Control, MdpControl, ModelSpec, make_time_grid, null_control
+from mvsde.core import (
+    Control, LawSummary, MdpControl, ModelSpec, make_time_grid, null_control,
+)
 from mvsde.errors import DivergenceError, NoConvergenceError
 from mvsde.models import get_model
 from mvsde.rate import _mdp_response
@@ -138,3 +142,23 @@ def test_mdp_skeleton_is_the_tangent_of_the_ldp_skeleton_map(name):
         dphi, dpsi = ldp_vjp(spec, grid, null, limit, limit, n, np.eye(d)[j])
         row = np.hstack([dphi, dpsi]).reshape(-1)
         assert np.max(np.abs(a_mat[j] - row)) <= 1e-12 * np.max(np.abs(row))
+
+
+def test_one_row_drift_broadcasts(pure_jump):
+    # b returning one (d,) row means that row for every state, in the
+    # skeleton and the jacobian as in the particle engine
+    one_row = dataclasses.replace(pure_jump, drift=lambda t, x, law: np.full(1, 0.5))
+    rows = dataclasses.replace(pure_jump, drift=lambda t, x, law: np.full(np.shape(x), 0.5))
+    grid = make_time_grid(1.0, 50)
+    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 1.5), psi_bounds=(1.5, 1.5))
+    np.testing.assert_array_equal(
+        solve_ldp_skeleton(one_row, grid, ctl).path.values,
+        solve_ldp_skeleton(rows, grid, ctl).path.values,
+    )
+    x = np.array([[0.0], [1.0], [2.0]])
+    law = LawSummary.dirac(x)
+    phi, tilt_w = np.ones((3, 1)), np.full((3, 1), 0.5)
+    for args in ((), (law, phi, tilt_w)):
+        np.testing.assert_array_equal(
+            jacobian_b_x(one_row, 0.5, x, *args), jacobian_b_x(rows, 0.5, x, *args)
+        )
