@@ -19,11 +19,11 @@ starts are run and ranked (feasible, cost, residual, start index); each
 trace row counts its start's skeleton solves, gradients and ALM rounds.
 
 mdp_rate is exact: the moderate skeleton is linear in the control, so the
-terminal response matrix A is built by propagating every basis column at
-once and the least-norm value 1/2 r^T (A W^-1 A^T)^-1 r is assembled from
-the cost weights W. The propagation runs the tangent of the trapezoid
-skeleton map at the null control, the operator whose adjoint gives ldp_rate
-its gradients. Halfspace events pin to the boundary; a pin tolerance
+least-norm value 1/2 r^T (A W^-1 A^T)^-1 r follows from its terminal
+response matrix A and the cost weights W. A's d rows come from one reverse
+sweep of the trapezoid skeleton map's tangent at the null control, batched
+over the unit cotangents: the adjoint that gives ldp_rate its gradients, in
+O(steps) memory. Halfspace events pin to the boundary; a pin tolerance
 shrinks the target toward the reachable set.
 """
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .errors import (
 from .levy import IntensityMeasure
 from .skeleton import (
     PicardConfig,
+    _adjoint,
     _mdp_coefficients,
     _propagate_mdp,
     ldp_vjp,
@@ -465,25 +466,13 @@ def _mdp_response(spec: ModelSpec, grid: TimeGrid, coeffs=None):
     """Terminal response A (d, n_controls) of the moderate skeleton and the
     quadratic cost weights w (n_controls,), controls stacked phi then tilt.
     coeffs is _mdp_coefficients(spec, grid), built here when not given."""
-    n, d, c = grid.n_steps, spec.dim, spec.n_mark_cells
-    n_controls = n * (d + c)
-    phi = np.zeros((n_controls, n, d))
-    tilt = np.zeros((n_controls, n, c))
-    cols = np.arange(n)
-    for i in range(d):
-        phi[cols * (d + c) + i, cols, i] = 1.0
-    for j in range(c):
-        tilt[cols * (d + c) + d + j, cols, j] = 1.0
+    d, c = spec.dim, spec.n_mark_cells
     if coeffs is None:
         coeffs = _mdp_coefficients(spec, grid)
-    paths = _propagate_mdp(spec, grid, phi, tilt, coeffs=coeffs)
-    a_mat = paths[:, -1, :].T  # (d, n_controls)
-    w = np.empty(n_controls)
-    for k in range(n):
-        base = k * (d + c)
-        w[base : base + d] = grid.dt[k]
-        if c:
-            w[base + d : base + d + c] = grid.dt[k] * spec.intensity.masses
+    dphi, dpsi = _adjoint(coeffs, np.eye(d))
+    a_mat = np.concatenate([dphi, dpsi], axis=2).reshape(d, -1)
+    masses = spec.intensity.masses if c else np.zeros(0)
+    w = (grid.dt[:, None] * np.concatenate([np.ones(d), masses])).ravel()
     return a_mat, w
 
 
@@ -579,9 +568,7 @@ def mdp_rate(
         )
     stacked = u.reshape(n, d + c)
     control = MdpControl(grid, stacked[:, :d], stacked[:, d:])
-    skel = _propagate_mdp(
-        spec, grid, control.phi[None], control.tilt[None], coeffs=coeffs
-    )[0]
+    skel = _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs=coeffs)
     path = Path(grid, skel, kind="linear")
     return RateResult(
         value=float(value),

@@ -19,9 +19,10 @@ term is O(sqrt(eps) / a) and vanishes in the moderate window.
 
 One linear-response operator serves both regimes: the tangent of the
 discrete (implicit-trapezoid) skeleton map, built cell by cell in
-_cell_maps. ldp_vjp runs it in reverse, as an exact adjoint sweep, for the
-rate optimizer's gradients; at the null control, where its state jacobian
-is A, the moderate skeleton runs it forward (_propagate_mdp).
+_cell_maps. Its exact reverse sweep (_adjoint) gives the rate optimizer's
+gradients (ldp_vjp) and, at the null control, where the state jacobian is
+A, the rows of the moderate terminal response; the forward recursion
+(_propagate_mdp) only solves the moderate skeleton for one control.
 """
 from __future__ import annotations
 
@@ -276,38 +277,44 @@ def ldp_vjp(
     returns) and limit_path the limit it froze the law at.
 
     Runs the tangent of the implicit-trapezoid map itself (_cell_maps) in
-    reverse. The step maps' products come from a doubling scan (log2(node)
-    batched matmuls), so nothing loops over steps. Returns dphi (n_steps, d)
-    and dpsi (n_steps, C).
+    reverse (_adjoint), so nothing loops over steps. Returns dphi
+    (n_steps, d) and dpsi (n_steps, C), zero past node.
     """
     n, d, c = grid.n_steps, spec.dim, spec.n_mark_cells
     dphi, dpsi = np.zeros((n, d)), np.zeros((n, c))
-    if node == 0:
-        return dphi, dpsi
-    step, inv, col_phi, col_psi = _cell_maps(
-        spec, grid, control, path, limit_path, node
-    )
+    if node > 0:
+        maps = _cell_maps(spec, grid, control, path, limit_path, node)
+        dphi[:node], dpsi[:node] = _adjoint(maps, cotangent)
+    return dphi, dpsi
+
+
+def _adjoint(maps, cotangent: np.ndarray):
+    """Reverse sweep of the tangent maps (_cell_maps): gradients dphi
+    (..., node, d) and dpsi (..., node, C) of cotangent . dy(t_node), for one
+    (d,) cotangent or an (r, d) batch. The step maps' suffix products come
+    from a doubling scan (log2(node) batched matmuls) on a copy of them."""
+    step, inv, col_phi, col_psi = maps
+    node, d = step.shape[0], step.shape[1]
+    step = step.copy()
     # Suffix products: step[k] becomes step[node-1] @ ... @ step[k].
     shift = 1
     while shift < node:
         step[:-shift] = step[shift:] @ step[:-shift]
         shift *= 2
-    adjoint = np.empty((node, d))  # adjoint of dy_{k+1}
-    adjoint[-1] = cotangent
-    adjoint[:-1] = np.einsum("kij,i->kj", step[1:], cotangent)
-    source = np.einsum("kij,ki->kj", inv, adjoint)
-    dphi[:node] = np.einsum("kij,ki->kj", col_phi, source)
-    dpsi[:node] = np.einsum("kcd,kd->kc", col_psi, source)
-    return dphi, dpsi
+    adjoint = np.empty(cotangent.shape[:-1] + (node, d))  # adjoint of dy_{k+1}
+    adjoint[..., -1, :] = cotangent
+    adjoint[..., :-1, :] = np.einsum("kij,...i->...kj", step[1:], cotangent)
+    source = np.einsum("kij,...ki->...kj", inv, adjoint)
+    dphi = np.einsum("kij,...ki->...kj", col_phi, source)
+    return dphi, np.einsum("kcd,...kd->...kc", col_psi, source)
 
 
 def _mdp_coefficients(spec: ModelSpec, grid: TimeGrid):
-    """The limit path and the skeleton map's tangent maps (_cell_maps) at the
-    null control along it, where J is A = d_x b(t, xbar, d_xbar)."""
+    """The skeleton map's tangent maps (_cell_maps) at the null control along
+    the limit path, where J is A = d_x b(t, xbar, d_xbar)."""
     limit_path = solve_limit_ode(spec, grid)
     null = null_control(grid, spec.dim, spec.n_mark_cells)
-    maps = _cell_maps(spec, grid, null, limit_path, limit_path, grid.n_steps)
-    return limit_path, maps
+    return _cell_maps(spec, grid, null, limit_path, limit_path, grid.n_steps)
 
 
 def _propagate_mdp(
@@ -315,21 +322,19 @@ def _propagate_mdp(
     grid: TimeGrid,
     phi: np.ndarray,
     tilt: np.ndarray,
-    coeffs=None,
+    coeffs,
 ) -> np.ndarray:
     """Forward tangent recursion of the linear moderate skeleton,
     m_{k+1} = step_k m_k + inv_k (col_phi_k phi_k + col_psi_k^T tilt_k).
 
-    phi: (B, n_steps, d) and tilt: (B, n_steps, C) batches of cellwise
-    constant controls; returns the (B, n_steps + 1, d) solution batch.
+    phi (n_steps, d) and tilt (n_steps, C) are cellwise constant controls;
+    returns the (n_steps + 1, d) solution. coeffs is _mdp_coefficients.
     """
-    if coeffs is None:
-        coeffs = _mdp_coefficients(spec, grid)
-    _, (step, inv, col_phi, col_psi) = coeffs
-    m = np.zeros((phi.shape[0], grid.n_steps + 1, spec.dim))
+    step, inv, col_phi, col_psi = coeffs
+    m = np.zeros((grid.n_steps + 1, spec.dim))
     for k in range(grid.n_steps):
-        source = phi[:, k] @ col_phi[k].T + tilt[:, k] @ col_psi[k]
-        m[:, k + 1] = m[:, k] @ step[k].T + source @ inv[k].T
+        source = phi[k] @ col_phi[k].T + tilt[k] @ col_psi[k]
+        m[k + 1] = m[k] @ step[k].T + source @ inv[k].T
     return m
 
 
@@ -341,8 +346,8 @@ def solve_mdp_skeleton(
         raise GridMismatchError("control grid does not match the skeleton grid")
     if control.dim != spec.dim:
         raise InvalidArgumentError("control dimension does not match the model")
-    n_cells = spec.n_mark_cells
-    if control.tilt.shape[1] != n_cells:
+    if control.tilt.shape[1] != spec.n_mark_cells:
         raise InvalidArgumentError("tilt does not cover the mark cells")
-    m = _propagate_mdp(spec, grid, control.phi[None], control.tilt[None])
-    return Path(grid, m[0], kind="linear")
+    coeffs = _mdp_coefficients(spec, grid)
+    m = _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs)
+    return Path(grid, m, kind="linear")

@@ -28,7 +28,7 @@ from mvsde.errors import DivergenceError, InvalidArgumentError
 from mvsde.levy import IntensityMeasure
 from mvsde.models import get_model, load_model_file
 from mvsde.rate import _mdp_response
-from mvsde.skeleton import solve_ldp_skeleton, solve_limit_ode
+from mvsde.skeleton import _DIVERGENCE_LIMIT, _guard, solve_ldp_skeleton, solve_limit_ode
 
 # forward Euler applied to x' = x from 1.0 on 400 equal cells
 EULER_400 = 2.7148917443812293
@@ -213,6 +213,22 @@ def test_divergence_guard_catches_inf(bad):
     with pytest.raises(DivergenceError) as err:
         simulate_mvsde(inf_late, grid, 1e-4, 8, seed=0)
     assert err.value.step == 50
+
+
+def test_divergence_guard_trips_just_past_the_limit():
+    cloud = np.zeros((1000, 2))
+    cloud[417, 1] = -1.01 * _DIVERGENCE_LIMIT
+    with pytest.raises(DivergenceError) as err:
+        _guard(cloud, 7, "particle system")
+    assert err.value.step == 7
+
+
+def test_divergence_guard_passes_a_large_cloud_within_the_limit():
+    # every entry sits exactly on the limit, which the guard still allows,
+    # although the cloud's norm is twice the limit
+    cloud = np.full((4, 1), _DIVERGENCE_LIMIT)
+    cloud[1] = -_DIVERGENCE_LIMIT
+    _guard(cloud, 0)
 
 
 def test_law_flow_variants_agree_for_mean_drift(example11):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,24 @@ def test_mdp_rate_solves_the_limit_ode_once(monkeypatch):
         res = mdp_rate(get_model(name), grid, event)
         assert res.feasible
         assert len(calls) == 1
+
+
+def test_mdp_rate_memory_grows_linearly_with_steps(logistic):
+    # A's rows come from one reverse sweep, so peak memory is O(n_steps):
+    # doubling the steps about doubles the peak (a basis of unit controls
+    # pushed forward would about quadruple it)
+    event = EventSpec.halfspace([1.0], 0.3)
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            mdp_rate(logistic, make_time_grid(1.0, n_steps), event)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # warm-up: first-call allocations are not the solve's
+    assert peak(800) <= 2.5 * peak(400)
 
 
 def test_mdp_rate_halfspace_matches_pin_in_1d(example11):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ from mvsde.core import (
     Control, LawSummary, MdpControl, ModelSpec, make_time_grid, null_control,
 )
 from mvsde.errors import DivergenceError, NoConvergenceError
-from mvsde.models import get_model
+from mvsde.models import get_model, load_model_file
 from mvsde.rate import _mdp_response
 from mvsde.skeleton import (
     PicardConfig,
     jacobian_b_x,
-    ldp_vjp,
     solve_ldp_skeleton,
     solve_limit_ode,
     solve_mdp_skeleton,
@@ -114,12 +114,30 @@ def test_mdp_skeleton_jump_tilt(pure_jump):
     assert m.terminal[0] == pytest.approx(-0.6, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", ["logistic_mf", "linear_gaussian"])
-def test_mdp_skeleton_is_the_tangent_of_the_ldp_skeleton_map(name):
+# README's model file: the only d >= 2 case, with two mark atoms.
+AFFINE_DEMO = {
+    "name": "affine_demo", "dim": 2, "initial": [1.0, 0.0],
+    "drift": {"const": [0, 0], "linear_x": [[0, 1], [0, 0]],
+              "linear_mean": [[0.5, 0], [0, 0.5]]},
+    "diffusion": {"const": [[0.3, 0], [0, 0.3]]},
+    "jump": {"mark_matrix": [[1.0], [0.0]]},
+    "intensity": {"atoms": [[0.5], [-0.5]], "masses": [1.0, 2.0]},
+    "constants": {"lipschitz": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", ["logistic_mf", "linear_gaussian", "affine_demo"])
+def test_mdp_skeleton_is_the_tangent_of_the_ldp_skeleton_map(name, tmp_path):
     # One linear-response operator: the moderate skeleton is the tangent of
-    # the implicit-trapezoid skeleton map at the null control, and ldp_vjp
-    # runs that tangent's adjoint, so both match the map to rounding.
-    spec = get_model(name)
+    # the implicit-trapezoid skeleton map at the null control, and the
+    # terminal response A that mdp_rate takes from that tangent's reverse
+    # sweep agrees with the forward recursion on every control.
+    if name == "affine_demo":
+        model_file = tmp_path / "affine.json"
+        model_file.write_text(json.dumps(AFFINE_DEMO))
+        spec = load_model_file(model_file)
+    else:
+        spec = get_model(name)
     n, d, c = 200, spec.dim, spec.n_mark_cells
     grid = make_time_grid(1.0, n)
     rng = np.random.default_rng(3)
@@ -135,13 +153,13 @@ def test_mdp_skeleton_is_the_tangent_of_the_ldp_skeleton_map(name):
     central = (skeleton(1.0) - skeleton(-1.0)) / (2.0 * delta)
     assert np.max(np.abs(central - m)) <= 1e-9
 
-    limit = solve_limit_ode(spec, grid)
     a_mat, _ = _mdp_response(spec, grid)
-    null = null_control(grid, d, c)
-    for j in range(d):
-        dphi, dpsi = ldp_vjp(spec, grid, null, limit, limit, n, np.eye(d)[j])
-        row = np.hstack([dphi, dpsi]).reshape(-1)
-        assert np.max(np.abs(a_mat[j] - row)) <= 1e-12 * np.max(np.abs(row))
+    assert a_mat.shape == (d, n * (d + c))
+    for _ in range(3):
+        u = rng.normal(size=(n, d + c))  # stacked per cell: phi, then tilt
+        forward = solve_mdp_skeleton(spec, grid, MdpControl(grid, u[:, :d], u[:, d:]))
+        terminal = forward.terminal
+        assert np.max(np.abs(a_mat @ u.ravel() - terminal)) <= 1e-12 * np.max(np.abs(terminal))
 
 
 def test_one_row_drift_broadcasts(pure_jump):
