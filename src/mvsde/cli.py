@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -500,7 +501,7 @@ def verify_limit_cmd(
             model=model_name, eps_list=eps_values, particles=particles,
             steps=steps, horizon=horizon, seed=seed, tol=tol,
         )
-        save_report(out, {"manifest": manifest, "report": report.to_dict()})
+        save_report(out, {"manifest": manifest, "report": asdict(report)})
         click.echo(f"report written to {out}")
     if not report.passed:
         sys.exit(_EXIT_GATE)
@@ -535,7 +536,7 @@ def demo_cmd(eps, particles, steps, seed, out):
             "demo-example11",
             eps=eps, particles=particles, steps=steps, seed=seed,
         )
-        save_report(out, {"manifest": manifest, "report": report.to_dict()})
+        save_report(out, {"manifest": manifest, "report": asdict(report)})
         click.echo(f"report written to {out}")
     if not report.passed:
         sys.exit(_EXIT_GATE)

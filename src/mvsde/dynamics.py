@@ -2,9 +2,10 @@
 
 One Euler engine (simulate_lanes) drives every lane; the lanes differ only
 in their eps, in where each step reads its law (the lane's own cloud, the
-cloud of the companion lane 0, or a frozen flow) and in which control they
-apply. The plain system is literally the controlled engine fed the null
-control, so plain and null-controlled runs from one seed agree bit for bit.
+cloud of another lane named by its index, or a frozen flow) and in which
+control they apply. The plain system is literally the controlled engine fed
+the null control, so plain and null-controlled runs from one seed agree bit
+for bit.
 
 Several lanes step in lockstep over one set of draws per step. They share
 one Brownian increment dW, which lane i scales by its own sqrt(eps_i), and
@@ -31,9 +32,11 @@ order per particle (grouped by occurrence rank, vectorized across particles).
 Each cloud moves in place through step buffers shared by all lanes. Every
 coefficient call still sees the left-endpoint cloud through law.cloud: the
 jump coefficients run on a gathered copy of the jumping particles'
-post-drift states, and lane 0, the companion law source, moves last. The
-step's jumps are sampled inside the loop, sorted once (levy.propose_step)
-and masked per lane (levy.thin_step), so no lane sorts and memory holds one
+post-drift states, and the lanes that no other lane reads move first, in
+index order, then the lanes that another lane reads (the law sources), in
+index order; a law source may not itself read another lane. The step's
+jumps are sampled inside the loop, sorted once (levy.propose_step) and
+masked per lane (levy.thin_step), so no lane sorts and memory holds one
 step's jumps, not the horizon's. The compensator is summed atom by atom;
 with three or more mark atoms its last bit can differ from an einsum's.
 Jumps arrive at the tilted rate psi / eps; their compensator
@@ -42,8 +45,8 @@ cancel to the plain compensator, so psi acts only through the thinning.
 
 Work that lanes share is done once per step, in the same operations and
 order as per lane, so no bit changes: one LawSummary per cloud read (a
-"companion" lane reuses lane 0's); sigma dW once, in the place of dW, when
-every lane's sigma is the same constant (d, d) matrix (a state-dependent
+lane that reads lane j reuses lane j's); sigma dW once, in the place of dW,
+when every lane's sigma is the same constant (d, d) matrix (a state-dependent
 (n, d, d) sigma stays per lane); its sqrt(eps) scaling once per run of
 lanes of one eps; and a law-only drift (rows all equal: a (d,) value, or a
 view with row stride 0) scaled as one row and added in the noise pass,
@@ -169,10 +172,11 @@ def _as_reference(reference, grid: TimeGrid, dim: int):
 @dataclass(frozen=True)
 class Lane:
     """One particle cloud of simulate_lanes at noise level eps. law is where
-    its coefficients read the law each step: "self" (its own cloud),
-    "companion" (lane 0's cloud at the step's left endpoint), a Path (point
-    masses along it) or a callable step -> LawSummary. control None is the
-    null control."""
+    its coefficients read the law each step: "self" (its own cloud), the
+    index of another lane (that lane's cloud at the step's left endpoint;
+    the lane read must not read another lane itself), a Path (point masses
+    along it) or a callable step -> LawSummary. control None is the null
+    control."""
 
     eps: float
     control: Control | None = None
@@ -181,8 +185,16 @@ class Lane:
     record: str = "summary"
 
 
-def _law_source(law, grid: TimeGrid):
-    if isinstance(law, str) and law in ("self", "companion"):
+def _law_source(law, grid: TimeGrid, lane: int, n_lanes: int):
+    """The index of the lane whose cloud the lane reads, or a callable
+    step -> LawSummary."""
+    if isinstance(law, str) and law == "self":
+        return lane
+    if isinstance(law, int) and not isinstance(law, bool):
+        if not 0 <= law < n_lanes:
+            raise InvalidArgumentError(f"lane {lane} reads lane {law}, out of range")
+        if law == lane:
+            raise InvalidArgumentError(f'lane {lane} reads its own index; use "self"')
         return law
     if isinstance(law, Path):
         if law.grid != grid:
@@ -259,12 +271,15 @@ def simulate_lanes(
     if n_particles < 1:
         raise InvalidArgumentError("n_particles must be >= 1")
     controls = [_lane_control(lane.control, spec, grid) for lane in lanes]
-    sources = [_law_source(lane.law, grid) for lane in lanes]
+    sources = [_law_source(lane.law, grid, i, len(lanes)) for i, lane in enumerate(lanes)]
     # the cloud whose empirical law each lane reads (None: a frozen flow)
-    clouds = [
-        None if callable(src) else (i if src == "self" else 0) for i, src in enumerate(sources)
-    ]
+    clouds = [None if callable(src) else src for src in sources]
     read_clouds = set(clouds) - {None}
+    # the law sources: the clouds that another lane reads
+    law_sources = {c for i, c in enumerate(clouds) if c not in (None, i)}
+    for c in law_sources:
+        if clouds[c] not in (None, c):
+            raise InvalidArgumentError(f"lane {c} is a law source but reads lane {clouds[c]}")
     # proposals at rate (1 / eps_ref) * hi * nu dominate every lane's
     # psi_i / eps_i; lane i keeps one iff u * hi < psi_i(cell) * eps_ref / eps_i
     eps_ref = min(lane.eps for lane in lanes)
@@ -289,8 +304,8 @@ def simulate_lanes(
         rec.record(0, x, incr)
     sqrt_eps = [float(np.sqrt(lane.eps)) for lane in lanes]
     phi_active = [bool(ctl.phi.any()) for ctl in controls]
-    # lane 0 is the companion law source, so it moves last
-    order = [*range(1, len(lanes)), 0]
+    # a law source moves after every lane that reads it
+    order = [i for i in range(len(lanes)) if i not in law_sources] + sorted(law_sources)
 
     for k in range(n):
         t_k = float(grid.nodes[k])
@@ -360,7 +375,7 @@ def simulate_lanes(
     return [
         ParticleEnsemble(grid, lane.eps, big_n, d, int(seed), "state", x, rec.paths, rec.sup_sq, {
             "warnings": notes,
-            "law_mode": src if isinstance(src, str) else "frozen",
+            "law_mode": "frozen" if callable(src) else lane.law,
             "rate_scale": 1.0 / lane.eps,
             "n_jumps": int(jumps),
             "n_proposed": int(n_proposed),
@@ -418,12 +433,13 @@ def simulate_controlled_frozen(
 
     The correct flow to freeze is the law of the UNCONTROLLED system.
     law_flow "companion" steps the uncontrolled cloud from the same seed in
-    lockstep and reads its empirical law at each step, so memory is O(N),
-    not O(N x steps). law_flow may also be a Path (point masses along it) or
-    a callable step -> LawSummary.
+    lockstep, as lane 0, and reads its empirical law at each step, so memory
+    is O(N), not O(N x steps). law_flow may also be a Path (point masses
+    along it) or a callable step -> LawSummary.
     """
-    lane = Lane(eps, control, law_flow, reference, record)
-    lanes = [Lane(eps), lane] if law_flow == "companion" else [lane]
+    companion = law_flow == "companion"
+    lane = Lane(eps, control, 0 if companion else law_flow, reference, record)
+    lanes = [Lane(eps), lane] if companion else [lane]
     return simulate_lanes(spec, grid, lanes, n_particles, seed)[-1]
 
 

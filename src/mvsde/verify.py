@@ -17,26 +17,25 @@ Zero-hit points cannot produce a statistic; they are dropped from the fit
 and flagged as censored. Weights come from the binomial delta rule
 se(y) = h sqrt((1 - p_hat) / (n p_hat)).
 
-The rungs of a ladder (check_ldp, check_mdp, check_limit_convergence) are
-lanes of dynamics.simulate_lanes from one ladder seed,
-derive_seed(seed, label, 0): common random numbers, which narrow the spread
-of the intercept (the fit weights still treat the rungs as independent). A
-rung is bit-identical to its solo run from the ladder seed when its rate
-bound is the ladder's (every rung without jumps, the smallest-eps rung with
-them). The ladders accept jobs (an integer >= 1) but do not use it: one
-simulation over all the rungs draws each step's increments once, while
-splitting the rungs into thread groups that each draw them again cost
-8.6 % more peak memory for 9 % less wall time (3-rung ladder, N = 1e5,
-2 vCPUs).
-check_controlled_convergence needs a companion law source per rung and
-keeps one seed per rung.
+The rungs of every ladder are lanes of dynamics.simulate_lanes from one
+ladder seed, derive_seed(seed, label): common random numbers, which narrow
+the spread of the intercept (the fit weights still treat the rungs as
+independent). A rung is bit-identical to its solo run from the ladder seed
+when its rate bound is the ladder's (every rung without jumps, the
+smallest-eps rung with them). check_controlled_convergence runs 2k lanes
+for k rungs: the plain lanes, then one frozen-law lane per rung that reads
+the plain lane of its eps by index. The ladders accept jobs (an integer
+>= 1) but do not use it: one simulation over all the rungs draws each
+step's increments once, while splitting the rungs into thread groups that
+each draw them again cost 8.6 % more peak memory for 9 % less wall time
+(3-rung ladder, N = 1e5, 2 vCPUs).
 
 The limit check's terminal W2 distance to the point mass at xbar(T) is the
 closed form sqrt(mean_i |X_i(T) - xbar(T)|^2): every coupling costs the same.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .dynamics import (
     Lane,
     _euler_limit_path,
     _moderate_lane,
-    simulate_controlled_frozen,
+    simulate_controlled_frozen,  # noqa: F401 -- perfbench/tracing.py wraps it here
     simulate_controlled_selfconsistent,  # noqa: F401 -- perfbench/tracing.py wraps it here
     simulate_lanes,
     simulate_mdp_controlled,  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -83,18 +82,9 @@ class SlopeRow:
     a: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "eps": self.eps,
-            "speed": self.speed,
-            "n_samples": self.n_samples,
-            "hits": self.hits,
-            "p_hat": self.p_hat,
-            "stat": self.stat,
-            "stderr": self.stderr,
-            "censored": self.censored,
-        }
-        if self.a is not None:
-            out["a"] = self.a
+        out = asdict(self)
+        if self.a is None:
+            del out["a"]
         return out
 
 
@@ -111,17 +101,7 @@ class SlopeReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "event": self.event,
-            "rows": [r.to_dict() for r in self.rows],
-            "fit_method": self.fit_method,
-            "intercept": self.intercept,
-            "target": self.target,
-            "tol": self.tol,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
 
 def _wls(design: np.ndarray, y: np.ndarray, se: np.ndarray):
@@ -162,37 +142,36 @@ def fit_rate_extrapolation(rows: list) -> tuple[str, float, dict]:
 
 def _run_ladder(spec, grid, lanes, n_particles, seed, label) -> list:
     """Run the rungs as lockstep lanes of one simulation from the ladder seed."""
-    return simulate_lanes(spec, grid, lanes, n_particles, derive_seed(seed, label, 0))
+    return simulate_lanes(spec, grid, lanes, n_particles, derive_seed(seed, label))
 
 
-def _slope_rows(eps_list, speeds, scale_a, results, event, n_particles):
+def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> SlopeReport:
+    """Slope rows of the rungs' ensembles at the given speeds (and moderate
+    scales a, or None), their extrapolated fit, and the gate at target."""
     rows = []
-    for idx, eps in enumerate(eps_list):
-        terminal, sup_sq = results[idx]
-        ind = event.indicator(terminal, sup_sq)
-        hits = int(np.count_nonzero(ind))
-        p_hat = hits / n_particles
-        h = speeds[idx]
+    for ens, h, a in zip(ensembles, speeds, scale_a):
+        n = ens.n_particles
+        hits = int(np.count_nonzero(event.indicator(ens.terminal, ens.sup_sq)))
+        p_hat = hits / n
         if hits > 0:
             stat = -h * np.log(p_hat)
-            stderr = h * float(np.sqrt((1.0 - p_hat) / (n_particles * p_hat)))
-            censored = False
+            stderr = h * float(np.sqrt((1.0 - p_hat) / (n * p_hat)))
         else:
-            stat, stderr, censored = float("nan"), float("nan"), True
-        rows.append(
-            SlopeRow(
-                eps=float(eps),
-                speed=float(h),
-                n_samples=n_particles,
-                hits=hits,
-                p_hat=p_hat,
-                stat=stat,
-                stderr=stderr,
-                censored=censored,
-                a=None if scale_a is None else float(scale_a[idx]),
-            )
-        )
-    return rows
+            stat, stderr = float("nan"), float("nan")
+        rows.append(SlopeRow(
+            ens.eps, float(h), n, hits, p_hat, stat, stderr, hits == 0,
+            None if a is None else float(a),
+        ))
+    method, intercept, details = fit_rate_extrapolation(rows)
+    if event.kind == "halfspace":
+        details["boundary_gap_per_eps"] = _boundary_gaps(event, [e.terminal for e in ensembles])
+    passed = None
+    if target is not None:
+        tol = 0.05 if tol is None else tol
+        passed = bool(np.isfinite(intercept) and abs(intercept - target) <= tol)
+    return SlopeReport(
+        kind, event.describe(), rows, method, intercept, target, tol, passed, details
+    )
 
 
 def _boundary_gaps(event: EventSpec, terminals: list) -> list:
@@ -243,30 +222,9 @@ def check_ldp(
     _check_tol(tol)
     reference = event.ref_path if event.kind == "pin_path" else None
     lanes = [Lane(eps, reference=reference) for eps in eps_list]
-    results = [
-        (ens.terminal, ens.sup_sq)
-        for ens in _run_ladder(spec, grid, lanes, n_particles, seed, "check_ldp")
-    ]
-    rows = _slope_rows(eps_list, eps_list, None, results, event, n_particles)
-    method, intercept, details = fit_rate_extrapolation(rows)
-    if event.kind == "halfspace":
-        details["boundary_gap_per_eps"] = _boundary_gaps(
-            event, [t for t, _ in results]
-        )
-    passed = None
-    if target is not None:
-        tol = 0.05 if tol is None else tol
-        passed = bool(np.isfinite(intercept) and abs(intercept - target) <= tol)
-    return SlopeReport(
-        kind="ldp",
-        event=event.describe(),
-        rows=rows,
-        fit_method=method,
-        intercept=intercept,
-        target=target,
-        tol=tol,
-        passed=passed,
-        details=details,
+    ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_ldp")
+    return _slope_report(
+        "ldp", event, ensembles, eps_list, [None] * len(eps_list), target, tol
     )
 
 
@@ -306,31 +264,8 @@ def check_mdp(
     ensembles = _run_ladder(
         spec, grid, [lane for lane, _ in rungs], n_particles, seed, "check_mdp"
     )
-    results = []
-    for (_, to_fluctuation), ens in zip(rungs, ensembles):
-        ens = to_fluctuation(ens)
-        results.append((ens.terminal, ens.sup_sq))
-    rows = _slope_rows(eps_list, speeds, scale_a, results, event, n_particles)
-    method, intercept, details = fit_rate_extrapolation(rows)
-    if event.kind == "halfspace":
-        details["boundary_gap_per_eps"] = _boundary_gaps(
-            event, [t for t, _ in results]
-        )
-    passed = None
-    if target is not None:
-        tol = 0.05 if tol is None else tol
-        passed = bool(np.isfinite(intercept) and abs(intercept - target) <= tol)
-    return SlopeReport(
-        kind="mdp",
-        event=event.describe(),
-        rows=rows,
-        fit_method=method,
-        intercept=intercept,
-        target=target,
-        tol=tol,
-        passed=passed,
-        details=details,
-    )
+    ensembles = [to_fluctuation(ens) for (_, to_fluctuation), ens in zip(rungs, ensembles)]
+    return _slope_report("mdp", event, ensembles, speeds, scale_a, target, tol)
 
 
 @dataclass
@@ -345,25 +280,14 @@ class ConvergenceReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "eps": self.eps,
-            "values": self.values,
-            "slope": self.slope,
-            "log_intercept": self.log_intercept,
-            "expected_slope": self.expected_slope,
-            "tol": self.tol,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
-
-def _loglog_slope(eps, values):
-    x = np.log(np.asarray(eps))
-    y = np.log(np.asarray(values))
-    coef = np.polyfit(x, y, 1)
-    return float(coef[0]), float(coef[1])
+def _convergence_report(kind, eps_list, values, tol, details) -> ConvergenceReport:
+    """The log-log slope of values against eps, gated at 1 +/- tol."""
+    slope, intercept = (float(c) for c in np.polyfit(np.log(eps_list), np.log(values), 1))
+    return ConvergenceReport(
+        kind, list(eps_list), values, slope, intercept, 1.0, tol,
+        bool(abs(slope - 1.0) <= tol), details,
+    )
 
 
 def check_limit_convergence(
@@ -388,17 +312,8 @@ def check_limit_convergence(
         float(np.sqrt(np.mean(np.sum((ens.terminal - limit.terminal) ** 2, axis=1))))
         for ens in ensembles
     ]
-    slope, intercept = _loglog_slope(eps_list, values)
-    return ConvergenceReport(
-        kind="limit_convergence",
-        eps=list(eps_list),
-        values=values,
-        slope=slope,
-        log_intercept=intercept,
-        expected_slope=1.0,
-        tol=tol,
-        passed=bool(abs(slope - 1.0) <= tol),
-        details={"terminal_w2_to_limit": w2_terminal},
+    return _convergence_report(
+        "limit_convergence", eps_list, values, tol, {"terminal_w2_to_limit": w2_terminal}
     )
 
 
@@ -412,35 +327,17 @@ def check_controlled_convergence(
     tol: float = 0.35,
 ) -> ConvergenceReport:
     """Check that the frozen-law controlled system tracks its skeleton:
-    E[sup_t |Xbar - skeleton|^2] -> 0 at a rate close to O(eps)."""
+    E[sup_t |Xbar - skeleton|^2] -> 0 at a rate close to O(eps). Rung i is
+    a frozen lane on the plain lane i of its eps."""
     eps_list = _validate_eps_list(eps_list)
     _check_tol(tol)
     skeleton = solve_ldp_skeleton(spec, grid, control).path
-    values = []
-    for idx, eps in enumerate(eps_list):
-        ens = simulate_controlled_frozen(
-            spec,
-            grid,
-            eps,
-            control,
-            "companion",
-            n_particles,
-            derive_seed(seed, "check_controlled", idx),
-            record="summary",
-            reference=skeleton,
-        )
-        values.append(float(ens.sup_sq.mean()))
-    slope, intercept = _loglog_slope(eps_list, values)
-    return ConvergenceReport(
-        kind="controlled_convergence",
-        eps=list(eps_list),
-        values=values,
-        slope=slope,
-        log_intercept=intercept,
-        expected_slope=1.0,
-        tol=tol,
-        passed=bool(abs(slope - 1.0) <= tol),
-        details={"control_event": "frozen-law tracking"},
+    lanes = [Lane(eps) for eps in eps_list]
+    lanes += [Lane(eps, control, i, skeleton) for i, eps in enumerate(eps_list)]
+    ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_controlled")
+    values = [float(ens.sup_sq.mean()) for ens in ensembles[len(eps_list):]]
+    return _convergence_report(
+        "controlled_convergence", eps_list, values, tol, {"control_event": "frozen-law tracking"}
     )
 
 
@@ -463,27 +360,6 @@ class DemoReport:
     gap_ok: bool
     passed: bool
     narrative: list
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "n_particles": self.n_particles,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-            "frozen_center": self.frozen_center,
-            "selfconsistent_center": self.selfconsistent_center,
-            "frozen_target": self.frozen_target,
-            "selfconsistent_target": self.selfconsistent_target,
-            "skeleton_terminal": self.skeleton_terminal,
-            "tol": self.tol,
-            "min_gap": self.min_gap,
-            "gap": self.gap,
-            "frozen_ok": self.frozen_ok,
-            "selfconsistent_separates": self.selfconsistent_separates,
-            "gap_ok": self.gap_ok,
-            "passed": self.passed,
-            "narrative": self.narrative,
-        }
 
 
 def demo_frozen_vs_selfconsistent(
@@ -517,7 +393,7 @@ def demo_frozen_vs_selfconsistent(
         np.ones((n_steps, 0)),
         psi_bounds=(1.0, 1.0),
     )
-    lanes = [Lane(eps), Lane(eps, control, "companion"), Lane(eps, control, "self")]
+    lanes = [Lane(eps), Lane(eps, control, 0), Lane(eps, control, "self")]
     reference, frozen, selfc = simulate_lanes(spec, grid, lanes, n_particles, seed)
     skeleton = solve_ldp_skeleton(spec, grid, control).path
     frozen_center = float(frozen.terminal.mean())

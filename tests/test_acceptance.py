@@ -86,10 +86,15 @@ def test_criterion_4_gaussian_rate_and_monte_carlo():
     )
     elapsed = time.perf_counter() - t0
     mc_err = abs(rep.intercept - 0.125)
+    # the naive rate lets the law follow the controlled path: b = x, which
+    # is linear_gaussian
+    naive = ldp_rate(get_model("linear_gaussian"), grid, EventSpec.pin([E + 0.5], tol=1e-3),
+                     OptimizerConfig(seed=0)).value
     _line(4, res.feasible and opt_err <= 1e-3 and rep.passed and elapsed < 300.0,
           f"optimizer {res.value:.6f} (err {opt_err:.1e}, tol 1e-3), "
           f"mc extrapolation {rep.intercept:.4f} (err {mc_err:.4f}, tol 0.03, "
-          f"fit {rep.fit_method}), {elapsed:.1f}s")
+          f"fit {rep.fit_method}; naive {naive:.4f}, {abs(naive - 0.125):.4f} away), "
+          f"{elapsed:.1f}s")
 
 
 def test_criterion_5_jump_rate_and_monte_carlo():

@@ -168,7 +168,6 @@ def test_seed_block_split_is_stable():
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():
-    assert derive_seed(7, "check_ldp", 2) == derive_seed(7, "check_ldp", 2)
-    assert derive_seed(7, "check_ldp", 2) != derive_seed(7, "check_ldp", 3)
-    assert derive_seed(7, "check_ldp", 2) != derive_seed(7, "check_mdp", 2)
-    assert derive_seed(8, "check_ldp", 2) != derive_seed(7, "check_ldp", 2)
+    assert derive_seed(7, "check_ldp") == derive_seed(7, "check_ldp")
+    assert derive_seed(7, "check_ldp") != derive_seed(7, "check_mdp")
+    assert derive_seed(8, "check_ldp") != derive_seed(7, "check_ldp")

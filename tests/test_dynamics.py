@@ -156,7 +156,7 @@ def test_lockstep_lanes_equal_their_solo_runs(example11, logistic):
     ):
         lanes = [
             Lane(0.02, record="full"),
-            Lane(0.02, ctl, "companion", record="full"),
+            Lane(0.02, ctl, 0, record="full"),
             Lane(0.02, ctl, "self", record="full"),
         ]
         plain, frozen, selfc = simulate_lanes(spec, grid, lanes, 48, seed=6)
@@ -178,7 +178,7 @@ def test_lockstep_thinning_is_monotone_in_psi(pure_jump):
     grid = make_time_grid(1.0, 50)
     ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 2.0), psi_bounds=(1.0, 2.0))
     plain, tilted = simulate_lanes(
-        pure_jump, grid, [Lane(0.05), Lane(0.05, ctl, "companion")], 500, seed=3
+        pure_jump, grid, [Lane(0.05), Lane(0.05, ctl, 0)], 500, seed=3
     )
     assert np.all(tilted.terminal >= plain.terminal)
     assert tilted.meta["n_jumps"] > 1.5 * plain.meta["n_jumps"]
@@ -387,14 +387,17 @@ def _mean_reader(read):
 def test_lockstep_coefficients_read_the_left_endpoint_cloud():
     # law.mean is taken when the step starts; law.cloud.mean(axis=0) is taken
     # at the call. They agree bit for bit only if no cloud moves before every
-    # coefficient call that can read it (lane 0 moves last, jumps run on a copy)
+    # coefficient call that can read it (the law sources, lanes 0 and 1, move
+    # last, jumps run on a copy)
     grid = make_time_grid(1.0, 60)
     ctl = Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6), psi_bounds=(0.5, 1.0))
     runs = []
     for read in (lambda law: law.mean, lambda law: law.cloud.mean(axis=0)):
         lanes = [
             Lane(0.02, record="full"),
-            Lane(0.02, ctl, "companion", record="full"),
+            Lane(0.05, record="full"),
+            Lane(0.02, ctl, 0, record="full"),
+            Lane(0.05, ctl, 1, record="full"),
             Lane(0.02, ctl, "self", record="full"),
         ]
         runs.append(simulate_lanes(_mean_reader(read), grid, lanes, 48, seed=6))
@@ -509,7 +512,7 @@ def _shared_work_cases(name):
     if name == "demo":
         spec = get_model("example11")
         ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
-        return spec, grid, [Lane(0.01), Lane(0.01, ctl, "companion"), Lane(0.01, ctl, "self")]
+        return spec, grid, [Lane(0.01), Lane(0.01, ctl, 0), Lane(0.01, ctl, "self")]
     if name == "state_sigma":
         # a state-dependent (n, d, d) sigma: every lane forms its own sigma dW
         spec = dataclasses.replace(
@@ -517,7 +520,7 @@ def _shared_work_cases(name):
             diffusion=lambda t, x, law: (0.5 + 0.25 * np.sin(x))[:, :, None],
         )
         ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
-        return spec, grid, [Lane(0.01), Lane(0.01, ctl, "companion"), Lane(0.01, ctl, "self")]
+        return spec, grid, [Lane(0.01), Lane(0.01, ctl, 0), Lane(0.01, ctl, "self")]
     if name == "law_sigma":
         # a (d, d) sigma read from the law: the frozen and self lanes differ
         spec = dataclasses.replace(
@@ -532,7 +535,7 @@ def _shared_work_cases(name):
     c = spec.n_mark_cells
     ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5), psi_bounds=(1.5, 1.5))
     skeleton = solve_ldp_skeleton(spec, grid, ctl).path
-    return spec, grid, [Lane(0.05), Lane(0.05, ctl, "companion", skeleton)]
+    return spec, grid, [Lane(0.05), Lane(0.05, ctl, 0, skeleton)]
 
 
 # sha256 of the terminal clouds (and sup_sq, where a reference is given) of
@@ -597,3 +600,55 @@ def test_demo_builds_two_laws_per_step(monkeypatch):
 def test_empty_lane_list_is_a_typed_error(example11):
     with pytest.raises(InvalidArgumentError):
         simulate_lanes(example11, make_time_grid(1.0, 10), [], 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "law, match",
+    [
+        (2, "out of range"),
+        (-1, "out of range"),
+        (1, "own index"),
+        ("companion", "cannot interpret"),
+        (True, "cannot interpret"),
+    ],
+)
+def test_bad_lane_index_is_a_typed_error(example11, law, match):
+    grid = make_time_grid(1.0, 10)
+    lanes = [Lane(0.05), Lane(0.05, law=law)]
+    with pytest.raises(InvalidArgumentError, match=match):
+        simulate_lanes(example11, grid, lanes, 10, seed=0)
+
+
+def test_law_source_that_reads_another_lane_is_a_typed_error(example11):
+    # lane 2 reads lane 1, which itself reads lane 0
+    grid = make_time_grid(1.0, 10)
+    lanes = [Lane(0.05), Lane(0.05, law=0), Lane(0.05, law=1)]
+    with pytest.raises(InvalidArgumentError, match="reads lane 0"):
+        simulate_lanes(example11, grid, lanes, 10, seed=0)
+
+
+def test_lanes_that_no_lane_reads_move_first(example11, monkeypatch):
+    # the demo's [plain, frozen on 0, self-consistent] moves as [1, 2, 0]; a
+    # ladder of law sources and their frozen lanes moves every frozen lane first
+    import mvsde.dynamics as dynamics
+
+    calls = []
+    record = dynamics._Recorder.record
+
+    def logging_record(self, k, x, scratch):
+        calls.append((k, self))
+        return record(self, k, x, scratch)
+
+    monkeypatch.setattr(dynamics._Recorder, "record", logging_record)
+    grid = make_time_grid(1.0, 4)
+    ctl = Control(grid, np.ones((4, 1)), np.ones((4, 0)))
+    cases = (
+        ([Lane(0.01), Lane(0.01, ctl, 0), Lane(0.01, ctl, "self")], [1, 2, 0]),
+        ([Lane(0.1), Lane(0.05), Lane(0.1, ctl, 0), Lane(0.05, ctl, 1)], [2, 3, 0, 1]),
+        ([Lane(0.1), Lane(0.05)], [0, 1]),
+    )
+    for lanes, order in cases:
+        calls.clear()
+        simulate_lanes(example11, grid, lanes, 5, seed=0)
+        recs = [rec for k, rec in calls if k == 0]  # created in lane order
+        assert [recs.index(rec) for k, rec in calls if k == 1] == order

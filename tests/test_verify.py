@@ -1,15 +1,17 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from mvsde.core import ModelSpec, make_time_grid
-from mvsde.dynamics import simulate_mvsde
+from mvsde.core import Control
+from mvsde.dynamics import simulate_controlled_frozen, simulate_mvsde
 from mvsde.errors import InvalidArgumentError
 from mvsde.models import get_model
 from mvsde.rate import EventSpec
 from mvsde.rng import derive_seed
-from mvsde.skeleton import solve_limit_ode
+from mvsde.skeleton import solve_ldp_skeleton, solve_limit_ode
 from mvsde.verify import (
     SlopeRow,
     check_controlled_convergence,
@@ -164,15 +166,13 @@ def test_terminal_w2_is_the_point_mass_closed_form(model):
     # every rung runs from the ladder seed, and without jumps each rung is
     # bit-identical to its solo run
     for i, eps in enumerate(eps_list):
-        ens = simulate_mvsde(spec, grid, eps, n, derive_seed(seed, "check_limit", 0))
+        ens = simulate_mvsde(spec, grid, eps, n, derive_seed(seed, "check_limit"))
         brute = np.sqrt(np.mean(np.sum((ens.terminal - xbar) ** 2, axis=1)))
         assert rep.details["terminal_w2_to_limit"][i] == pytest.approx(brute, abs=1e-12)
 
 
 def test_check_controlled_convergence_smoke(example11):
     grid = make_time_grid(1.0, 100)
-    from mvsde.core import Control
-
     ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
     rep = check_controlled_convergence(
         example11, grid, [0.1, 0.05, 0.025], ctl, n_particles=400, seed=2
@@ -181,6 +181,7 @@ def test_check_controlled_convergence_smoke(example11):
     assert len(rep.values) == 3
     assert rep.values[-1] < rep.values[0]
     assert np.isfinite(rep.slope)
+    assert rep.passed
     for bad in (float("nan"), -1.0):
         with pytest.raises(InvalidArgumentError, match="tol must be"):
             check_controlled_convergence(
@@ -188,11 +189,46 @@ def test_check_controlled_convergence_smoke(example11):
             )
 
 
+def test_controlled_ladder_equals_its_solo_runs(example11):
+    # every rung is a frozen lane on its own plain lane, all from the ladder
+    # seed; without jumps each rung is bit-identical to its solo run
+    grid = make_time_grid(1.0, 100)
+    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
+    eps_list, n, seed = [0.1, 0.05, 0.025], 400, 2
+    rep = check_controlled_convergence(example11, grid, eps_list, ctl, n, seed)
+    skeleton = solve_ldp_skeleton(example11, grid, ctl).path
+    for value, eps in zip(rep.values, eps_list):
+        solo = simulate_controlled_frozen(
+            example11, grid, eps, ctl, "companion", n, derive_seed(seed, "check_controlled"),
+            record="summary", reference=skeleton,
+        )
+        assert value == pytest.approx(float(solo.sup_sq.mean()), abs=1e-12)
+
+
+def test_check_controlled_convergence_is_one_simulation(example11, monkeypatch):
+    import mvsde.dynamics as dynamics
+    import mvsde.verify as verify
+
+    calls = []
+    simulate_lanes = dynamics.simulate_lanes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return simulate_lanes(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "simulate_lanes", counting)
+    monkeypatch.setattr(verify, "simulate_lanes", counting)
+    grid = make_time_grid(1.0, 20)
+    ctl = Control(grid, np.ones((20, 1)), np.ones((20, 0)), psi_bounds=(1.0, 1.0))
+    check_controlled_convergence(example11, grid, [0.1, 0.05, 0.025], ctl, 50, seed=0)
+    assert len(calls) == 1
+
+
 def test_demo_report_shape_cheap():
     rep = demo_frozen_vs_selfconsistent(
         eps=1e-4, n_particles=800, n_steps=200, seed=3
     )
-    d = rep.to_dict()
+    d = asdict(rep)
     for key in (
         "frozen_center", "selfconsistent_center", "frozen_target",
         "selfconsistent_target", "gap", "passed", "narrative",
@@ -236,7 +272,7 @@ def test_ladders_do_not_depend_on_jobs(logistic):
         "limit": lambda jobs: check_limit_convergence(logistic, grid, ladder, 1500, 5, jobs=jobs),
     }
     for kind, run in runs.items():
-        reports = [run(jobs).to_dict() for jobs in (1, 2, 3)]
+        reports = [asdict(run(jobs)) for jobs in (1, 2, 3)]
         if kind != "limit":
             assert all(row["hits"] > 0 for row in reports[0]["rows"])
         assert reports[0] == reports[1] == reports[2], kind
