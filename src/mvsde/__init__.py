@@ -6,16 +6,12 @@ from .core import (
     Control,
     LawSummary,
     MdpControl,
-    ModelConstants,
     ModelSpec,
     Path,
     TimeGrid,
-    eval_path,
     make_time_grid,
     null_control,
     null_mdp_control,
-    path_sup_distance,
-    probe_drift_monotonicity,
 )
 from .dynamics import (
     Lane,
@@ -72,9 +68,7 @@ __all__ = [
     "__version__",
     # core types
     "TimeGrid", "Path", "Control", "MdpControl", "LawSummary",
-    "ModelSpec", "ModelConstants",
-    "make_time_grid", "eval_path", "path_sup_distance",
-    "null_control", "null_mdp_control", "probe_drift_monotonicity",
+    "ModelSpec", "make_time_grid", "null_control", "null_mdp_control",
     # errors
     "MvsdeError", "InvalidArgumentError", "GridMismatchError",
     "InvalidControlError", "UnsupportedError", "NumericError",

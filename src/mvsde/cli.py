@@ -98,6 +98,10 @@ def parse_event(text: str, dim: int) -> EventSpec:
         return EventSpec.pin(target, tol=_parse_float(tail, "pin tolerance"))
     if kind == "path":
         ref = load_path_csv(body)
+        if ref.dim != dim:
+            raise InvalidArgumentError(
+                f"path file has {ref.dim} components, model has {dim}"
+            )
         return EventSpec.pin_path(ref, tol=_parse_float(tail, "pin tolerance"))
     if kind == "half":
         normal = _parse_floats(body, "halfspace normal")
@@ -194,7 +198,7 @@ def simulate_cmd(model_name, eps, particles, steps, horizon, seed, record, mean_
     for warning in ens.meta["warnings"]:
         click.echo(f"warning: {warning}", err=True)
     if mean_out is not None:
-        save_path_csv(mean_out, Path(grid, ens.mean_path(), kind="linear"))
+        save_path_csv(mean_out, Path(grid, ens.mean_path()))
         click.echo(f"mean path written to {mean_out}")
     if out is not None:
         payload = {
@@ -303,12 +307,11 @@ def rate_cmd(
     spec = get_model(model_name)
     grid = make_time_grid(horizon, steps)
     event = parse_event(event_text, spec.dim)
-    config = OptimizerConfig(n_starts=starts, control_cells=cells, seed=seed)
-    result = (
-        ldp_rate(spec, grid, event, config)
-        if kind == "ldp"
-        else mdp_rate(spec, grid, event, config)
-    )
+    if kind == "ldp":
+        config = OptimizerConfig(n_starts=starts, control_cells=cells, seed=seed)
+        result = ldp_rate(spec, grid, event, config)
+    else:
+        result = mdp_rate(spec, grid, event)
     click.echo(f"event: {event.describe()}")
     click.echo(
         f"{kind} rate value: {result.value:.9g} "

@@ -5,8 +5,8 @@ read-only so downstream code can hold views without defensive copies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
@@ -21,15 +21,10 @@ __all__ = [
     "Control",
     "MdpControl",
     "LawSummary",
-    "ModelConstants",
     "ModelSpec",
-    "DriftProbeReport",
     "make_time_grid",
-    "eval_path",
-    "path_sup_distance",
     "null_control",
     "null_mdp_control",
-    "probe_drift_monotonicity",
 ]
 
 
@@ -75,14 +70,6 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def step_of(self, t) -> np.ndarray:
-        """Index k with t in (t_k, t_{k+1}]; t=0 maps to step 0."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.horizon):
-            raise InvalidArgumentError("time outside [0, horizon]")
-        k = np.searchsorted(self.nodes, t, side="left") - 1
-        return np.clip(k, 0, self.n_steps - 1)
-
     def __eq__(self, other):
         return isinstance(other, TimeGrid) and np.array_equal(self.nodes, other.nodes)
 
@@ -101,15 +88,10 @@ def make_time_grid(horizon: float, n_steps: int) -> TimeGrid:
 
 @dataclass(frozen=True)
 class Path:
-    """Values on a time grid with an interpolation convention.
-
-    kind "cadlag_step": right-continuous step function, left limits at nodes.
-    kind "linear": piecewise-linear interpolation.
-    """
+    """Values on a time grid, one row per node."""
 
     grid: TimeGrid
     values: np.ndarray
-    kind: str = "linear"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -119,8 +101,6 @@ class Path:
             raise GridMismatchError("path values must have one row per grid node")
         if not np.isfinite(values).all():
             raise InvalidArgumentError("path values must be finite")
-        if self.kind not in ("cadlag_step", "linear"):
-            raise InvalidArgumentError(f"unknown path kind {self.kind!r}")
         values = _frozen_array(values)
         object.__setattr__(self, "values", values)
 
@@ -131,34 +111,6 @@ class Path:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[-1]
-
-
-def eval_path(path: Path, t) -> np.ndarray:
-    """Evaluate a path at scalar or vector times inside [0, horizon]."""
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tq = np.atleast_1d(t)
-    if np.any(tq < 0) or np.any(tq > path.grid.horizon):
-        raise InvalidArgumentError("evaluation time outside [0, horizon]")
-    if path.kind == "cadlag_step":
-        idx = np.searchsorted(path.grid.nodes, tq, side="right") - 1
-        idx = np.clip(idx, 0, path.grid.nodes.size - 1)
-        out = path.values[idx]
-    else:
-        out = np.stack(
-            [np.interp(tq, path.grid.nodes, path.values[:, j]) for j in range(path.dim)],
-            axis=-1,
-        )
-    return out[0] if scalar else out
-
-
-def path_sup_distance(p: Path, q: Path) -> float:
-    """Max over shared grid nodes of the euclidean distance |p(t)-q(t)|."""
-    if p.grid != q.grid:
-        raise GridMismatchError("sup distance requires a shared time grid")
-    if p.dim != q.dim:
-        raise InvalidArgumentError("paths must have equal dimension")
-    return float(np.max(np.linalg.norm(p.values - q.values, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -301,13 +253,6 @@ class LawSummary:
 
 
 @dataclass(frozen=True)
-class ModelConstants:
-    """User-asserted structural constants; recorded, probed, not enforced."""
-
-    lipschitz: float = 1.0
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Coefficients and structure of one mean-field jump-diffusion model.
 
@@ -327,7 +272,6 @@ class ModelSpec:
     diffusion: Callable
     jump: Callable | None = None
     intensity: "IntensityMeasure | None" = None
-    constants: ModelConstants = field(default_factory=ModelConstants)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -356,56 +300,3 @@ class ModelSpec:
     def jump_rows(self, t, x, law, z) -> np.ndarray:
         """jump(t, x, law, z) as rows shaped like the (n, d) batch x; a (d,) value broadcasts."""
         return _as_rows(self.jump(t, x, law, z), x, self.dim)
-
-
-@dataclass(frozen=True)
-class DriftProbeReport:
-    """Outcome of the one-sided monotonicity probe of the drift."""
-
-    n_tuples: int
-    n_violations: int
-    worst_excess: float
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return self.n_violations == 0
-
-
-def probe_drift_monotonicity(
-    spec: ModelSpec, seed: int = 0, n_tuples: int = 200, tol: float = 1e-9
-) -> DriftProbeReport:
-    """Sample (t, x, x', law) tuples and test the one-sided condition
-
-        <x - x', b(t,x,law) - b(t,x',law)> <= L |x - x'|^2 + tol (1 + |x-x'|^2)
-
-    against the declared Lipschitz constant. Violations are reported, never
-    raised: the constants are user assertions, the probe is a witness.
-    """
-    rng = np.random.default_rng(seed)
-    lip = spec.constants.lipschitz
-    violations = []
-    worst = 0.0
-    for i in range(n_tuples):
-        t = rng.uniform(0.0, 1.0)
-        x = rng.normal(0.0, 2.0, spec.dim)
-        xp = rng.normal(0.0, 2.0, spec.dim)
-        if i % 3 == 0:
-            law = LawSummary.dirac(rng.normal(0.0, 2.0, spec.dim))
-        else:
-            law = LawSummary.empirical(rng.normal(0.0, 2.0, (8, spec.dim)))
-        bx = np.ravel(spec.drift(t, x[None, :], law))
-        bxp = np.ravel(spec.drift(t, xp[None, :], law))
-        d = x - xp
-        lhs = float(np.dot(d, bx - bxp))
-        gap2 = float(np.dot(d, d))
-        excess = lhs - lip * gap2 - tol * (1.0 + gap2)
-        if excess > 0.0:
-            worst = max(worst, excess)
-            violations.append({"t": t, "excess": excess})
-    return DriftProbeReport(
-        n_tuples=n_tuples,
-        n_violations=len(violations),
-        worst_excess=worst,
-        violations=tuple(violations[:10]),
-    )

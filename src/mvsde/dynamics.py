@@ -58,9 +58,10 @@ free once the cloud has moved.
 The moderate lane is the same engine read in fluctuation coordinates
 M = (X - xbar) / a (_moderate_lane). Under the null control it runs the
 plain particle system; under a control (phi, tilt) it runs the frozen-law
-lane with the law flow d_xbar and the control (a phi, max(psi_floor,
-1 + a tilt)), clamps counted in meta. The matching moderate rate linearizes
-with A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
+lane with the law flow d_xbar and the control (a phi, max(1e-3, 1 + a tilt)):
+the fixed floor 1e-3 keeps the tilted jump rate positive, and meta counts the
+clamped cells. The matching moderate rate linearizes with
+A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
 """
 from __future__ import annotations
 
@@ -97,6 +98,9 @@ __all__ = [
     "simulate_mdp_controlled",
 ]
 
+# Lower bound on the moderate lane's jump tilt psi = 1 + a tilt.
+_PSI_FLOOR = 1e-3
+
 
 @dataclass
 class ParticleEnsemble:
@@ -118,11 +122,6 @@ class ParticleEnsemble:
     paths: np.ndarray | None = None
     sup_sq: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
-
-    def law_at(self, k: int) -> LawSummary:
-        if self.paths is None:
-            raise InvalidArgumentError("law_at needs record='full'")
-        return LawSummary.empirical(self.paths[k])
 
     def mean_path(self) -> np.ndarray:
         if self.paths is None:
@@ -464,7 +463,6 @@ def _moderate_lane(
     a: float,
     control: MdpControl | None,
     xbar: np.ndarray,
-    psi_floor: float = 1e-3,
     record: str = "summary",
     reference=None,
 ):
@@ -474,7 +472,9 @@ def _moderate_lane(
 
     The null control (None, or phi = 0 and tilt = 0) runs the plain particle
     system; any other control runs the frozen-law lane with the law flow
-    d_xbar and the control (a phi, max(psi_floor, 1 + a tilt)).
+    d_xbar and the control (a phi, max(1e-3, 1 + a tilt)): the fixed floor
+    1e-3 (_PSI_FLOOR) keeps the tilted jump rate positive, and meta counts
+    the clamped cells.
     """
     if not (a > 0 and np.isfinite(a)):
         raise InvalidArgumentError("the moderate scale a must be positive")
@@ -499,8 +499,8 @@ def _moderate_lane(
         lane = Lane(eps, reference=ref_x, record=record)
     else:
         raw = 1.0 + a * control.tilt
-        psi = np.maximum(psi_floor, raw)
-        clamped = int(np.count_nonzero(raw < psi_floor))
+        psi = np.maximum(_PSI_FLOOR, raw)
+        clamped = int(np.count_nonzero(raw < _PSI_FLOOR))
         bounds = (float(psi.min(initial=1.0)), float(psi.max(initial=1.0)))
         ctl = Control(grid, a * control.phi, psi, psi_bounds=bounds)
         lane = Lane(eps, ctl, Path(grid, xbar), ref_x, record)
@@ -515,7 +515,7 @@ def _moderate_lane(
         ens.kind = "fluctuation"
         ens.meta["warnings"].extend(window)
         ens.meta.update(
-            a=float(a), speed=eps / a**2, clamped_cells=clamped, psi_floor=psi_floor
+            a=float(a), speed=eps / a**2, clamped_cells=clamped, psi_floor=_PSI_FLOOR
         )
         return ens
 
@@ -530,7 +530,6 @@ def simulate_mdp_controlled(
     control: MdpControl | None,
     n_particles: int,
     seed: int,
-    psi_floor: float = 1e-3,
     record: str = "full",
     reference=None,
 ) -> ParticleEnsemble:
@@ -538,6 +537,6 @@ def simulate_mdp_controlled(
     run as the one lane of _moderate_lane."""
     xbar = _euler_limit_path(spec, grid)
     lane, to_fluctuation = _moderate_lane(
-        spec, grid, eps, a, control, xbar, psi_floor, record, reference
+        spec, grid, eps, a, control, xbar, record, reference
     )
     return to_fluctuation(simulate_lanes(spec, grid, [lane], n_particles, seed)[0])

@@ -67,7 +67,7 @@ def load_path_csv(file) -> Path:
         data = np.array([[float(v) for v in row] for row in rows])
     except ValueError:
         raise InvalidArgumentError(f"{file} has a non-numeric cell or a ragged row")
-    return Path(TimeGrid(data[:, 0]), data[:, 1:], kind="linear")
+    return Path(TimeGrid(data[:, 0]), data[:, 1:])
 
 
 def save_control(file, control) -> None:

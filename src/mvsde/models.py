@@ -18,7 +18,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .core import ModelConstants, ModelSpec
+from .core import ModelSpec
 from .errors import InvalidArgumentError
 from .levy import IntensityMeasure
 
@@ -48,7 +48,6 @@ def _example11() -> ModelSpec:
         initial=np.array([1.0]),
         drift=drift,
         diffusion=diffusion,
-        constants=ModelConstants(lipschitz=1.0),
     )
 
 
@@ -67,7 +66,6 @@ def _linear_gaussian() -> ModelSpec:
         initial=np.array([1.0]),
         drift=drift,
         diffusion=diffusion,
-        constants=ModelConstants(lipschitz=1.0),
     )
 
 
@@ -91,7 +89,6 @@ def _pure_jump() -> ModelSpec:
         diffusion=diffusion,
         jump=jump,
         intensity=IntensityMeasure(np.array([[1.0]]), np.array([1.0])),
-        constants=ModelConstants(lipschitz=0.0),
     )
 
 
@@ -120,7 +117,6 @@ def _logistic_mf() -> ModelSpec:
         diffusion=diffusion,
         jump=jump,
         intensity=IntensityMeasure(np.array([[1.0]]), np.array([0.5])),
-        constants=ModelConstants(lipschitz=10.0),
     )
 
 
@@ -180,7 +176,6 @@ def load_model_file(path) -> ModelSpec:
       diffusion: {"const": [d][d]}
       jump:      {"mark_matrix": [d][m]}      G(t, x, mu, z) = mark_matrix z
       intensity: {"atoms": [c][m], "masses": [c]}
-      constants: {"lipschitz": ..}
     """
     path = FsPath(path)
     try:
@@ -238,11 +233,6 @@ def load_model_file(path) -> ModelSpec:
             x = np.asarray(x, dtype=float)
             return np.broadcast_to(_mark @ np.asarray(z, dtype=float), x.shape)
 
-    lipschitz = _floats(_block(raw, "constants").get("lipschitz", 1.0), "constants.lipschitz")
-    if lipschitz.ndim != 0:
-        raise InvalidArgumentError("model file: constants.lipschitz must be one number")
-    constants = ModelConstants(lipschitz=float(lipschitz))
-
     return ModelSpec(
         name=str(raw["name"]),
         dim=d,
@@ -251,5 +241,4 @@ def load_model_file(path) -> ModelSpec:
         diffusion=diffusion,
         jump=jump,
         intensity=intensity,
-        constants=constants,
     )

@@ -17,6 +17,10 @@ solve_ldp_skeleton solves (skeleton.ldp_vjp), so a gradient costs no extra
 skeleton solve. A stalled or diverging skeleton scores as infinite. Several
 starts are run and ranked (feasible, cost, residual, start index); each
 trace row counts its start's skeleton solves, gradients and ALM rounds.
+The ALM and descent settings (penalty schedule, round and iteration caps,
+tolerances, the theta clip and the random start scale) are fixed module
+constants; OptimizerConfig sets only the starts, the control cells and the
+seed.
 
 mdp_rate is exact: the moderate skeleton is linear in the control, so the
 least-norm value 1/2 r^T (A W^-1 A^T)^-1 r follows from its terminal
@@ -100,6 +104,11 @@ def mdp_cost(control: MdpControl, intensity: IntensityMeasure | None) -> float:
     return float(total)
 
 
+# Halfspace sample indicators accept terminals down to
+# level - BOUNDARY_ATOL * (1 + |level|).
+BOUNDARY_ATOL = 1e-9
+
+
 def _pin_tol(tol) -> float:
     if not (np.isfinite(tol) and tol >= 0):
         raise InvalidArgumentError("pin tolerance must be a finite number >= 0")
@@ -115,9 +124,9 @@ class EventSpec:
       pin_path        sup_t |x(t) - ref(t)| <= tol
       halfspace       normal . x(T) >= level
 
-    boundary_atol loosens sample indicators by atol * (1 + |level|) so that
-    laws with an atom exactly on the threshold (pure jump counts) are not
-    split by float roundoff.
+    Sample indicators of a halfspace are loosened by
+    BOUNDARY_ATOL * (1 + |level|) so that laws with an atom exactly on the
+    threshold (pure jump counts) are not split by float roundoff.
     """
 
     kind: str
@@ -126,7 +135,6 @@ class EventSpec:
     normal: Optional[np.ndarray] = None
     level: float = 0.0
     tol: float = 0.0
-    boundary_atol: float = 1e-9
 
     @classmethod
     def pin(cls, target, tol: float = 0.0) -> "EventSpec":
@@ -179,7 +187,7 @@ class EventSpec:
                 )
             return sup_sq <= self.tol**2
         if self.kind == "halfspace":
-            slack = self.boundary_atol * (1.0 + abs(self.level))
+            slack = BOUNDARY_ATOL * (1.0 + abs(self.level))
             return terminal @ self.normal >= self.level - slack
         raise InvalidArgumentError(f"unknown event kind {self.kind!r}")
 
@@ -193,19 +201,27 @@ class EventSpec:
         )
 
 
+# ALM penalty schedule: rho starts at _RHO0 and grows by _RHO_GROWTH per
+# round up to _RHO_MAX, for at most _OUTER_ROUNDS rounds.
+_RHO0 = 10.0
+_RHO_GROWTH = 2.0
+_RHO_MAX = 1e8
+_OUTER_ROUNDS = 16
+# Barzilai-Borwein inner solve: iteration cap and relative gradient tolerance.
+_INNER_ITERS = 80
+_GTOL = 1e-7
+# Jump tilts are psi = exp(theta), theta clipped to +-_THETA_CLIP.
+_THETA_CLIP = 30.0
+# A start is feasible when its event excess is at most _FEASIBILITY_TOL.
+_FEASIBILITY_TOL = 1e-6
+# Starts after the first begin at N(0, _START_SCALE^2) raw parameters.
+_START_SCALE = 0.5
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     n_starts: int = 5
     control_cells: int = 16
-    rho0: float = 10.0
-    rho_growth: float = 2.0
-    rho_max: float = 1e8
-    outer_rounds: int = 16
-    inner_iters: int = 80
-    gtol: float = 1e-7
-    theta_clip: float = 30.0
-    feasibility_tol: float = 1e-6
-    start_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -260,7 +276,7 @@ class _LdpProblem:
     """
 
     def __init__(self, spec, grid, event, config):
-        self.spec, self.grid, self.event, self.config = spec, grid, event, config
+        self.spec, self.grid, self.event = spec, grid, event
         self.d = spec.dim
         self.n_cells = spec.n_mark_cells
         self.k = min(config.control_cells, grid.n_steps)
@@ -279,11 +295,7 @@ class _LdpProblem:
         k, d, c = self.k, self.d, self.n_cells
         phi = params[: k * d].reshape(k, d)[self.map]
         if c:
-            theta = np.clip(
-                params[k * d :].reshape(k, c),
-                -self.config.theta_clip,
-                self.config.theta_clip,
-            )
+            theta = np.clip(params[k * d :].reshape(k, c), -_THETA_CLIP, _THETA_CLIP)
             psi = np.exp(theta)[self.map]
             bounds = (min(1.0, float(psi.min())), max(1.0, float(psi.max())))
         else:
@@ -322,9 +334,9 @@ class _LdpProblem:
         grad[: k * d] = (phi * self.cell_dt[:, None]).ravel()
         if c:
             raw = params[k * d :].reshape(k, c)
-            theta = np.clip(raw, -self.config.theta_clip, self.config.theta_clip)
+            theta = np.clip(raw, -_THETA_CLIP, _THETA_CLIP)
             # dpsi/dtheta, flat where theta is clipped; d/dpsi ell(psi) = theta.
-            dpsi_dtheta = np.exp(theta) * (np.abs(raw) <= self.config.theta_clip)
+            dpsi_dtheta = np.exp(theta) * (np.abs(raw) <= _THETA_CLIP)
             masses = self.spec.intensity.masses
             dtheta = theta * dpsi_dtheta * masses * self.cell_dt[:, None]
         if weight > 0.0:
@@ -364,16 +376,16 @@ def _alm_objective(problem, lam, rho):
     return value, gradient
 
 
-def _bb_minimize(value, gradient, params, config):
+def _bb_minimize(value, gradient, params):
     """Barzilai-Borwein descent with a nonmonotone backtracking rule."""
     p = params.copy()
     f = value(p)
     g = gradient(p)
     history = [f]
     step = 1.0 / (np.linalg.norm(g) + 1.0)
-    for _ in range(config.inner_iters):
+    for _ in range(_INNER_ITERS):
         gnorm2 = float(g @ g)
-        if np.sqrt(gnorm2) <= config.gtol * (1.0 + abs(f)):
+        if np.sqrt(gnorm2) <= _GTOL * (1.0 + abs(f)):
             break
         ref = max(history[-5:])
         t = step
@@ -398,17 +410,17 @@ def _bb_minimize(value, gradient, params, config):
     return p, f
 
 
-def _alm_solve(problem, params0, config):
+def _alm_solve(problem, params0):
     """-> (params, ALM rounds run)."""
-    lam, rho = 0.0, config.rho0
+    lam, rho = 0.0, _RHO0
     p = params0.copy()
-    for rounds in range(1, config.outer_rounds + 1):
-        p, _ = _bb_minimize(*_alm_objective(problem, lam, rho), p, config)
+    for rounds in range(1, _OUTER_ROUNDS + 1):
+        p, _ = _bb_minimize(*_alm_objective(problem, lam, rho), p)
         _, g, _ = problem.evaluate(p)
-        if g <= config.feasibility_tol and lam > 0.0:
+        if g <= _FEASIBILITY_TOL and lam > 0.0:
             break
         lam = max(0.0, lam + 2.0 * rho * max(g, -lam / (2.0 * rho)))
-        rho = min(rho * config.rho_growth, config.rho_max)
+        rho = min(rho * _RHO_GROWTH, _RHO_MAX)
     return p, rounds
 
 
@@ -426,16 +438,16 @@ def ldp_rate(
         if start == 0:
             p0 = np.zeros(problem.n_params)
         else:
-            p0 = rng.normal(0.0, config.start_scale, problem.n_params)
+            p0 = rng.normal(0.0, _START_SCALE, problem.n_params)
         solves, gradients = problem.solves, problem.gradients
-        p, rounds = _alm_solve(problem, p0, config)
+        p, rounds = _alm_solve(problem, p0)
         cost, g, path = problem.evaluate(p)
         counts = {
             "skeleton_solves": problem.solves - solves,
             "gradients": problem.gradients - gradients,
             "alm_rounds": rounds,
         }
-        feasible = g <= config.feasibility_tol
+        feasible = g <= _FEASIBILITY_TOL
         candidates.append((not feasible, cost, max(g, 0.0), start, p, path, counts))
     candidates.sort(key=lambda row: row[:4])
     # Start 0 begins at the null control, an exact skeleton fixed point, and
@@ -508,12 +520,7 @@ def _shrink_pin_target(r: np.ndarray, gram: np.ndarray, tol: float) -> np.ndarra
     return mu * np.linalg.solve(m + mu * np.eye(r.size), r)
 
 
-def mdp_rate(
-    spec: ModelSpec,
-    grid: TimeGrid,
-    event: EventSpec,
-    config: OptimizerConfig = OptimizerConfig(),
-) -> RateResult:
+def mdp_rate(spec: ModelSpec, grid: TimeGrid, event: EventSpec) -> RateResult:
     """Exact least-norm value of the moderate rate function for the event.
 
     The moderate skeleton starts at 0, so pin targets and halfspace levels
@@ -569,7 +576,7 @@ def mdp_rate(
     stacked = u.reshape(n, d + c)
     control = MdpControl(grid, stacked[:, :d], stacked[:, d:])
     skel = _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs=coeffs)
-    path = Path(grid, skel, kind="linear")
+    path = Path(grid, skel)
     return RateResult(
         value=float(value),
         control=control,

@@ -98,7 +98,7 @@ def solve_limit_ode(spec: ModelSpec, grid: TimeGrid) -> Path:
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _guard(x, k)
         nodes[k + 1] = x
-    return Path(grid, nodes, kind="linear")
+    return Path(grid, nodes)
 
 
 def _matvec(mat: np.ndarray, vec: np.ndarray, out=None) -> np.ndarray:
@@ -177,7 +177,7 @@ def solve_ldp_skeleton(
             residual=residual,
         )
     return SkeletonSolution(
-        path=Path(grid, y, kind="linear"),
+        path=Path(grid, y),
         iterations=iterations,
         residual=residual,
         converged=residual <= config.tol,
@@ -350,4 +350,4 @@ def solve_mdp_skeleton(
         raise InvalidArgumentError("tilt does not cover the mark cells")
     coeffs = _mdp_coefficients(spec, grid)
     m = _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs)
-    return Path(grid, m, kind="linear")
+    return Path(grid, m)

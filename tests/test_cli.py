@@ -114,6 +114,23 @@ def test_rate_mdp_rejects_path_events(runner, tmp_path):
     assert out.exit_code == 2, out.output
 
 
+@pytest.mark.parametrize("columns", [2, 0])
+@pytest.mark.parametrize(
+    "command", [["rate"], ["verify-ldp", "--eps-list", "0.2,0.1", "--particles", "100"]]
+)
+def test_path_event_must_match_model_dimension(runner, tmp_path, columns, command):
+    # a path CSV on the run's own grid, with the wrong number of components
+    ref = tmp_path / "ref.csv"
+    header = ",".join(["t"] + [f"x{j}" for j in range(columns)])
+    nodes = np.linspace(0.0, 1.0, 41).tolist()
+    rows = [",".join([repr(t)] + ["1.0"] * columns) for t in nodes]
+    ref.write_text("\n".join([header] + rows) + "\n")
+    event = ["--model", "example11", "--event", f"path:{ref}:0.1", "--steps", "40"]
+    out = runner.invoke(main, command + event)
+    assert out.exit_code == 2, out.output
+    assert f"path file has {columns} components, model has 1" in out.output
+
+
 def test_verify_ldp_gate_and_jobs_stability(runner, tmp_path):
     args = [
         "verify-ldp", "--event", "half:1.0:3.218281828", "--eps-list", "0.3,0.2",

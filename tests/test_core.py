@@ -7,18 +7,11 @@ from mvsde.core import (
     ModelSpec,
     Path,
     TimeGrid,
-    eval_path,
     make_time_grid,
     null_control,
     null_mdp_control,
-    path_sup_distance,
-    probe_drift_monotonicity,
 )
-from mvsde.errors import (
-    GridMismatchError,
-    InvalidArgumentError,
-    InvalidControlError,
-)
+from mvsde.errors import InvalidArgumentError, InvalidControlError
 from mvsde.rng import SeedBlock, derive_seed
 
 
@@ -28,9 +21,6 @@ def test_time_grid_basics():
     assert grid.horizon == pytest.approx(2.0)
     assert grid.nodes[0] == 0.0
     np.testing.assert_allclose(grid.dt, 0.25)
-    assert grid.step_of(0.0) == 0
-    assert grid.step_of(0.26) == 1
-    assert grid.step_of(2.0) == 7  # terminal time belongs to the last cell
 
 
 def test_time_grid_rejects_bad_nodes():
@@ -50,42 +40,18 @@ def test_time_grid_equality():
 def test_path_shapes_and_terminal():
     grid = make_time_grid(1.0, 4)
     values = np.linspace(0.0, 1.0, 5)[:, None]
-    path = Path(grid, values, kind="linear")
+    path = Path(grid, values)
     assert path.dim == 1
     np.testing.assert_allclose(path.terminal, [1.0])
     with pytest.raises(InvalidArgumentError):
-        Path(grid, values[:-1], kind="linear")
-    with pytest.raises(InvalidArgumentError):
-        Path(grid, values, kind="smooth")
+        Path(grid, values[:-1])
 
 
 def test_path_values_are_read_only():
     grid = make_time_grid(1.0, 2)
-    path = Path(grid, np.zeros((3, 1)), kind="linear")
+    path = Path(grid, np.zeros((3, 1)))
     with pytest.raises(ValueError):
         path.values[0, 0] = 1.0
-
-
-def test_eval_path_linear_and_cadlag():
-    grid = make_time_grid(1.0, 2)
-    values = np.array([[0.0], [1.0], [3.0]])
-    lin = Path(grid, values, kind="linear")
-    step = Path(grid, values, kind="cadlag_step")
-    np.testing.assert_allclose(eval_path(lin, 0.25), [0.5])
-    np.testing.assert_allclose(eval_path(lin, 1.0), [3.0])
-    # cadlag: value of the most recent node, right-continuous
-    np.testing.assert_allclose(eval_path(step, 0.25), [0.0])
-    np.testing.assert_allclose(eval_path(step, 0.5), [1.0])
-    np.testing.assert_allclose(eval_path(step, 0.75), [1.0])
-
-
-def test_path_sup_distance_wants_matching_grids():
-    a = Path(make_time_grid(1.0, 2), np.zeros((3, 1)), kind="linear")
-    b = Path(make_time_grid(1.0, 2), np.ones((3, 1)), kind="linear")
-    c = Path(make_time_grid(1.0, 3), np.ones((4, 1)), kind="linear")
-    assert path_sup_distance(a, b) == pytest.approx(1.0)
-    with pytest.raises(GridMismatchError):
-        path_sup_distance(a, c)
 
 
 def test_control_validation():
@@ -132,25 +98,6 @@ def test_model_spec_jump_requires_intensity(example11):
             jump=lambda t, x, law, z: np.ones_like(x),
             intensity=None,
         )
-
-
-def test_probe_drift_monotonicity_flags_bad_constant(example11):
-    import dataclasses
-
-    from mvsde.core import ModelConstants
-
-    from mvsde.models import get_model
-
-    ok = probe_drift_monotonicity(example11, seed=0)
-    assert ok.ok
-    # the drift b(x) = x has one-sided constant 1; claiming 0 must fail
-    bad_spec = dataclasses.replace(
-        get_model("linear_gaussian"), constants=ModelConstants(lipschitz=0.0)
-    )
-    bad = probe_drift_monotonicity(bad_spec, seed=0)
-    assert not bad.ok
-    assert bad.worst_excess > 0
-    assert len(bad.violations) <= 10
 
 
 def test_seed_block_split_is_stable():

@@ -325,16 +325,13 @@ def test_seed_determinism_across_calls(logistic):
     assert not np.array_equal(a.paths, c.paths)
 
 
-def test_law_at_and_mean_path(example11):
+def test_mean_path(example11):
     grid = make_time_grid(1.0, 20)
     ens = simulate_mvsde(example11, grid, 0.01, 30, seed=1)
-    law = ens.law_at(5)
-    assert law.kind == "empirical"
-    assert law.cloud.shape == (30, 1)
     assert ens.mean_path().shape == (21, 1)
-    np.testing.assert_allclose(ens.mean_path()[5], law.mean)
+    np.testing.assert_allclose(ens.mean_path()[5], ens.paths[5].mean(axis=0))
     with pytest.raises(InvalidArgumentError):
-        simulate_mvsde(example11, grid, 0.01, 30, seed=1, record="summary").law_at(5)
+        simulate_mvsde(example11, grid, 0.01, 30, seed=1, record="summary").mean_path()
 
 
 def test_ladder_rungs_equal_their_solo_runs(example11, logistic):

@@ -58,7 +58,6 @@ def test_json_model_roundtrip(tmp_path):
     spec = load_model_file(f)
     assert spec.name == "affine_demo"
     assert spec.dim == 2 and spec.n_mark_cells == 2
-    assert spec.constants.lipschitz == 2.0
     # drift evaluates the declared affine form
     from mvsde.core import LawSummary
 
@@ -96,8 +95,6 @@ def test_json_model_validation(tmp_path):
     jumps = {"jump": {"mark_matrix": [[1.0]]}, "intensity": {"atoms": [[1.0]], "masses": [1.0]}}
     for extra in ({"initial": ["a"]}, {"initial": [[0.0], [1.0, 2.0]]},
                   {"drift": {"const": ["b"]}}, {"drift": [1]}, {"diffusion": "s"},
-                  {"constants": {"lipschitz": "z"}}, {"constants": {"lipschitz": [1.0]}},
-                  {"constants": 2},
                   {**jumps, "intensity": {"atoms": [["x"]], "masses": [1.0]}},
                   {**jumps, "intensity": {"atoms": [[1.0]], "masses": ["m"]}},
                   {**jumps, "intensity": [1.0]}, {**jumps, "jump": [[1.0]]}):

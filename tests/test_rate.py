@@ -79,7 +79,7 @@ def test_q2_requires_intensity(logistic):
 
 def test_event_excess_and_indicator_signs():
     grid = make_time_grid(1.0, 2)
-    path = Path(grid, np.array([[0.0], [0.5], [2.0]]), kind="linear")
+    path = Path(grid, np.array([[0.0], [0.5], [2.0]]))
     pin = EventSpec.pin([2.0], tol=0.5)
     assert pin.excess(path) <= 0.0
     assert pin.residual(path) == 0.0
@@ -134,7 +134,7 @@ def test_ldp_rate_gaussian_pin(example11, monkeypatch):
     counts = [tuple(t[key] for key in keys) for t in res.trace]
     for solves, grads, rounds in counts:
         assert all(type(v) is int for v in (solves, grads, rounds))
-        assert 1 <= rounds <= config.outer_rounds
+        assert 1 <= rounds <= rate._OUTER_ROUNDS
         assert grads >= rounds and solves >= 1
     assert sum(solves for solves, _, _ in counts) == len(calls)
     again = ldp_rate(example11, grid, event, config)
@@ -162,7 +162,7 @@ def _far_event(kind, limit):
     if kind == "pin_terminal":
         return EventSpec.pin([end + 2.0], tol=1e-3)
     shifted = limit.values + 0.5 + limit.grid.nodes[:, None]
-    ref = Path(limit.grid, shifted, kind="linear")
+    ref = Path(limit.grid, shifted)
     return EventSpec.pin_path(ref, tol=0.01)
 
 
@@ -183,7 +183,7 @@ def test_ldp_gradient_matches_finite_differences(model, kind, clipped):
     problem = rate._LdpProblem(spec, grid, _far_event(kind, limit), config)
     params = np.random.default_rng(7).normal(0.0, 0.3, problem.n_params)
     if clipped:
-        params[-2] = -(config.theta_clip + 1.0)
+        params[-2] = -(rate._THETA_CLIP + 1.0)
     lam, rho = 0.5, 10.0
     _, g, _ = problem.evaluate(params)
     assert g + lam / (2.0 * rho) > 0.0
@@ -349,7 +349,7 @@ def test_mdp_rate_unreachable_is_infinite():
 
 def test_mdp_rate_rejects_path_events(example11):
     grid = make_time_grid(1.0, 50)
-    ref = Path(grid, np.zeros((51, 1)), kind="linear")
+    ref = Path(grid, np.zeros((51, 1)))
     with pytest.raises(UnsupportedError):
         mdp_rate(example11, grid, EventSpec.pin_path(ref, tol=0.1))
 
