@@ -91,26 +91,21 @@ def parse_event(text: str, dim: int) -> EventSpec:
     kind, body, tail = parts
     if kind == "pin":
         target = _parse_floats(body, "pin target")
-        if len(target) != dim:
-            raise InvalidArgumentError(
-                f"pin target has {len(target)} components, model has {dim}"
-            )
-        return EventSpec.pin(target, tol=_parse_float(tail, "pin tolerance"))
-    if kind == "path":
+        event = EventSpec.pin(target, tol=_parse_float(tail, "pin tolerance"))
+    elif kind == "path":
         ref = load_path_csv(body)
         if ref.dim != dim:
             raise InvalidArgumentError(
                 f"path file has {ref.dim} components, model has {dim}"
             )
-        return EventSpec.pin_path(ref, tol=_parse_float(tail, "pin tolerance"))
-    if kind == "half":
+        event = EventSpec.pin_path(ref, tol=_parse_float(tail, "pin tolerance"))
+    elif kind == "half":
         normal = _parse_floats(body, "halfspace normal")
-        if len(normal) != dim:
-            raise InvalidArgumentError(
-                f"halfspace normal has {len(normal)} components, model has {dim}"
-            )
-        return EventSpec.halfspace(normal, _parse_float(tail, "halfspace level"))
-    raise InvalidArgumentError(f"unknown event kind {kind!r} (pin, path, half)")
+        event = EventSpec.halfspace(normal, _parse_float(tail, "halfspace level"))
+    else:
+        raise InvalidArgumentError(f"unknown event kind {kind!r} (pin, path, half)")
+    event.check_dim(dim)
+    return event
 
 
 def _echo_rows(report) -> None:

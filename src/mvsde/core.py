@@ -25,6 +25,7 @@ __all__ = [
     "make_time_grid",
     "null_control",
     "null_mdp_control",
+    "check_control",
 ]
 
 
@@ -197,6 +198,10 @@ class MdpControl:
     def dim(self) -> int:
         return self.phi.shape[1]
 
+    @property
+    def n_mark_cells(self) -> int:
+        return self.tilt.shape[1]
+
 
 def null_mdp_control(grid: TimeGrid, dim: int, n_mark_cells: int = 0) -> MdpControl:
     return MdpControl(
@@ -300,3 +305,18 @@ class ModelSpec:
     def jump_rows(self, t, x, law, z) -> np.ndarray:
         """jump(t, x, law, z) as rows shaped like the (n, d) batch x; a (d,) value broadcasts."""
         return _as_rows(self.jump(t, x, law, z), x, self.dim)
+
+
+def check_control(control, spec: ModelSpec, grid: TimeGrid) -> None:
+    """Check that a Control or MdpControl fits the model and the run: a
+    GridMismatchError unless it lives on grid, an InvalidControlError unless
+    it has one phi column per state dimension and one psi (or tilt) column
+    per mark cell of spec, none on a model without jumps."""
+    if control.grid != grid:
+        raise GridMismatchError("control grid does not match the run's grid")
+    if control.dim != spec.dim:
+        raise InvalidControlError("control dimension does not match the model")
+    if control.n_mark_cells != spec.n_mark_cells:
+        raise InvalidControlError(
+            f"control has {control.n_mark_cells} mark cells, model has {spec.n_mark_cells}"
+        )

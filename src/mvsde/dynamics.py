@@ -75,13 +75,10 @@ from .core import (
     ModelSpec,
     Path,
     TimeGrid,
+    check_control,
     null_control,
 )
-from .errors import (
-    GridMismatchError,
-    InvalidArgumentError,
-    InvalidControlError,
-)
+from .errors import GridMismatchError, InvalidArgumentError
 from .levy import sample_controlled_prm  # noqa: F401 -- perfbench/tracing.py wraps it here
 from .levy import propose_step, thin_step
 from .rng import SeedBlock
@@ -208,12 +205,7 @@ def _law_source(law, grid: TimeGrid, lane: int, n_lanes: int):
 def _lane_control(control, spec: ModelSpec, grid: TimeGrid) -> Control:
     if control is None:
         return null_control(grid, spec.dim, spec.n_mark_cells)
-    if control.grid != grid:
-        raise GridMismatchError("control grid does not match the simulation grid")
-    if control.dim != spec.dim:
-        raise InvalidControlError("control dimension does not match the model")
-    if spec.has_jumps and control.n_mark_cells != spec.intensity.n_cells:
-        raise InvalidControlError("control psi does not cover the mark cells")
+    check_control(control, spec, grid)
     return control
 
 
@@ -485,12 +477,7 @@ def _moderate_lane(
             "(a -> 0 with eps/a^2 -> 0)"
         )
     if control is not None:
-        if control.grid != grid:
-            raise GridMismatchError("control grid does not match the simulation grid")
-        if control.dim != spec.dim:
-            raise InvalidControlError("control dimension does not match the model")
-        if spec.has_jumps and control.tilt.shape[1] != spec.intensity.n_cells:
-            raise InvalidControlError("control tilt does not cover the mark cells")
+        check_control(control, spec, grid)
 
     ref = _as_reference(reference, grid, spec.dim)
     ref_x = None if ref is None else xbar + a * ref

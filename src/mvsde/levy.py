@@ -73,10 +73,6 @@ class IntensityMeasure:
     def mark_dim(self) -> int:
         return self.atoms.shape[1]
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 @dataclass(frozen=True)
 class JumpStream:

@@ -14,7 +14,10 @@ nonmonotone backtracking rule, with psi = exp(theta) keeping tilts positive.
 Gradients are exact: the costs are differentiated by hand, and the event
 excess by the adjoint of the implicit-trapezoid skeleton map that
 solve_ldp_skeleton solves (skeleton.ldp_vjp), so a gradient costs no extra
-skeleton solve. A stalled or diverging skeleton scores as infinite. Several
+skeleton solve. A stalled or diverging skeleton scores as infinite: its
+Picard iteration raises a NumericError (no sweep within
+skeleton._PICARD_TOL after skeleton._PICARD_MAX_ITER, or a non-finite
+residual), and that exception is the one way a point scores inf. Several
 starts are run and ranked (feasible, cost, residual, start index); each
 trace row counts its start's skeleton solves, gradients and ALM rounds.
 The ALM and descent settings (penalty schedule, round and iteration caps,
@@ -45,7 +48,6 @@ from .errors import (
 )
 from .levy import IntensityMeasure
 from .skeleton import (
-    PicardConfig,
     _adjoint,
     _mdp_coefficients,
     _propagate_mdp,
@@ -109,10 +111,10 @@ def mdp_cost(control: MdpControl, intensity: IntensityMeasure | None) -> float:
 BOUNDARY_ATOL = 1e-9
 
 
-def _pin_tol(tol) -> float:
-    if not (np.isfinite(tol) and tol >= 0):
-        raise InvalidArgumentError("pin tolerance must be a finite number >= 0")
-    return float(tol)
+def _check_tol(tol, what: str = "tol") -> None:
+    """Raise unless tol is None or a finite number >= 0."""
+    if tol is not None and not (np.isfinite(tol) and tol >= 0):
+        raise InvalidArgumentError(f"{what} must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,11 +143,13 @@ class EventSpec:
         target = np.atleast_1d(np.asarray(target, dtype=float))
         if not np.isfinite(target).all():
             raise InvalidArgumentError("pin target must be finite")
-        return cls(kind="pin_terminal", target=target, tol=_pin_tol(tol))
+        _check_tol(tol, "pin tolerance")
+        return cls(kind="pin_terminal", target=target, tol=float(tol))
 
     @classmethod
     def pin_path(cls, ref_path: Path, tol: float) -> "EventSpec":
-        return cls(kind="pin_path", ref_path=ref_path, tol=_pin_tol(tol))
+        _check_tol(tol, "pin tolerance")
+        return cls(kind="pin_path", ref_path=ref_path, tol=float(tol))
 
     @classmethod
     def halfspace(cls, normal, level: float) -> "EventSpec":
@@ -155,6 +159,19 @@ class EventSpec:
         if not normal.any():
             raise InvalidArgumentError("halfspace normal must be nonzero")
         return cls(kind="halfspace", normal=normal, level=float(level))
+
+    def check_dim(self, dim: int) -> None:
+        """Raise unless the event's target, path or normal has dim components."""
+        if self.kind == "pin_terminal":
+            what, n = "pin target", self.target.size
+        elif self.kind == "pin_path":
+            what, n = "event path", self.ref_path.dim
+        elif self.kind == "halfspace":
+            what, n = "halfspace normal", self.normal.size
+        else:
+            raise InvalidArgumentError(f"unknown event kind {self.kind!r}")
+        if n != dim:
+            raise InvalidArgumentError(f"{what} has {n} components, model has {dim}")
 
     def excess(self, path: Path) -> float:
         """Signed constraint excess g; the event holds iff g <= 0."""
@@ -286,7 +303,6 @@ class _LdpProblem:
         self.cell_dt = np.add.reduceat(grid.dt, self.first_fine)
         self.n_params = self.k * (self.d + self.n_cells)
         self.limit = solve_limit_ode(spec, grid)
-        self.picard = PicardConfig(raise_on_fail=False)
         self.solves = 0
         self.gradients = 0
         self._last = None
@@ -304,19 +320,15 @@ class _LdpProblem:
         return Control(self.grid, phi, psi, psi_bounds=bounds)
 
     def evaluate(self, params: np.ndarray):
-        """-> (cost, excess, skeleton path | None); inf cost when the
-        skeleton diverges or its Picard iteration stalls."""
+        """-> (cost, excess, skeleton path | None); (inf, inf, None) when
+        the skeleton solve raises a NumericError."""
         if self._last is not None and np.array_equal(self._last[0], params):
             return self._last[1]
         control = self.expand(params)
         self.solves += 1
         try:
-            sol = solve_ldp_skeleton(
-                self.spec, self.grid, control, config=self.picard, limit_path=self.limit
-            )
+            sol = solve_ldp_skeleton(self.spec, self.grid, control, limit_path=self.limit)
         except NumericError:
-            sol = None
-        if sol is None or not sol.converged:
             out = (np.inf, np.inf, None)
         else:
             cost = q1_cost(control) + q2_cost(control, self.spec.intensity)
@@ -431,6 +443,7 @@ def ldp_rate(
     config: OptimizerConfig = OptimizerConfig(),
 ) -> RateResult:
     """Minimize q1 + q2 over controls whose skeleton realizes the event."""
+    event.check_dim(spec.dim)
     problem = _LdpProblem(spec, grid, event, config)
     rng = np.random.default_rng(config.seed)
     candidates = []
@@ -526,6 +539,7 @@ def mdp_rate(spec: ModelSpec, grid: TimeGrid, event: EventSpec) -> RateResult:
     The moderate skeleton starts at 0, so pin targets and halfspace levels
     are read in fluctuation coordinates.
     """
+    event.check_dim(spec.dim)
     if event.kind == "pin_path":
         raise UnsupportedError(
             "moderate path pins are not supported; use a terminal pin"

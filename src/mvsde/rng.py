@@ -32,18 +32,13 @@ __all__ = ["SeedBlock", "derive_seed"]
 class SeedBlock:
     """The two substream generators for one simulation run."""
 
-    master: int
     brownian: np.random.Generator
     jumps: np.random.Generator
 
     @classmethod
     def from_seed(cls, seed: int) -> "SeedBlock":
         children = np.random.SeedSequence(seed).spawn(2)
-        return cls(
-            master=int(seed),
-            brownian=np.random.default_rng(children[0]),
-            jumps=np.random.default_rng(children[1]),
-        )
+        return cls(np.random.default_rng(children[0]), np.random.default_rng(children[1]))
 
 
 def derive_seed(master: int, label: str) -> int:

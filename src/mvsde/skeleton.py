@@ -11,6 +11,12 @@ y = xbar + (integral of the difference against the limit drift), so the null
 control is an exact fixed point of the Picard map and the discretization
 error of the limit path does not leak into the correction term.
 
+The Picard iteration runs until two sweeps differ by at most _PICARD_TOL
+(1e-10) in sup norm, for at most _PICARD_MAX_ITER (200) sweeps, both read
+at call time. It fails in one way, by raising: a non-finite residual raises
+DivergenceError at that sweep, and a sweep cap reached above the tolerance
+raises NoConvergenceError.
+
 The moderate-deviation skeleton is the linearization of the large-deviation
 skeleton at the null control: m' = A(t) m + sigma(t) phi + sum_j G(t, z_j)
 tilt_j nu_j with A(t) = d_x b(t, xbar, d_xbar), the law again frozen at the
@@ -26,22 +32,18 @@ A, the rows of the moderate terminal response; the forward recursion
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    Control, LawSummary, MdpControl, ModelSpec, Path, TimeGrid, null_control,
+    Control, LawSummary, MdpControl, ModelSpec, Path, TimeGrid, check_control,
+    null_control,
 )
-from .errors import (
-    DivergenceError,
-    GridMismatchError,
-    InvalidArgumentError,
-    NoConvergenceError,
-)
+from .errors import DivergenceError, GridMismatchError, NoConvergenceError
 
 __all__ = [
-    "PicardConfig",
     "SkeletonSolution",
     "solve_limit_ode",
     "solve_ldp_skeleton",
@@ -51,13 +53,8 @@ __all__ = [
 ]
 
 _DIVERGENCE_LIMIT = 1e10
-
-
-@dataclass(frozen=True)
-class PicardConfig:
-    max_iter: int = 200
-    tol: float = 1e-10
-    raise_on_fail: bool = True
+_PICARD_MAX_ITER = 200
+_PICARD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,6 @@ class SkeletonSolution:
     path: Path
     iterations: int
     residual: float
-    converged: bool = True
 
 
 def _field(spec: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
@@ -128,17 +124,10 @@ def solve_ldp_skeleton(
     spec: ModelSpec,
     grid: TimeGrid,
     control: Control,
-    config: PicardConfig = PicardConfig(),
     limit_path: Path | None = None,
 ) -> SkeletonSolution:
     """Picard iteration for the controlled skeleton, law frozen at the limit."""
-    if control.grid != grid:
-        raise GridMismatchError("control grid does not match the skeleton grid")
-    if control.dim != spec.dim:
-        raise InvalidArgumentError("control dimension does not match the model")
-    if spec.has_jumps and control.n_mark_cells != spec.intensity.n_cells:
-        raise InvalidArgumentError("control psi does not cover the mark cells")
-
+    check_control(control, spec, grid)
     if limit_path is None:
         limit_path = solve_limit_ode(spec, grid)
     elif limit_path.grid != grid:
@@ -152,9 +141,7 @@ def solve_ldp_skeleton(
     tilt_w = (control.psi - 1.0) * spec.intensity.masses if spec.has_jumps else None
 
     y = xbar.copy()
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, _PICARD_MAX_ITER + 1):
         b, sig, g_nodes = _coefficients(spec, t, y, law)
         f = b - b_base
         sig_lo, sig_hi = (sig, sig) if sig.ndim == 2 else (sig[:-1], sig[1:])
@@ -167,20 +154,17 @@ def solve_ldp_skeleton(
         increments = 0.5 * dt * (f_lo + f_hi)
         y_new = xbar.copy()
         y_new[1:] += np.cumsum(increments, axis=0)
-        residual = float(np.max(np.abs(y_new - y)))
+        residual = float(np.max(np.abs(y_new - y)))  # NaN if any entry is
         y = y_new
-        if residual <= config.tol:
-            break
-    if residual > config.tol and config.raise_on_fail:
-        raise NoConvergenceError(
-            f"skeleton Picard iteration stalled at residual {residual:.3e}",
-            residual=residual,
-        )
-    return SkeletonSolution(
-        path=Path(grid, y),
-        iterations=iterations,
+        if residual <= _PICARD_TOL:
+            return SkeletonSolution(Path(grid, y), iterations, residual)
+        if not math.isfinite(residual):
+            raise DivergenceError(
+                f"skeleton Picard iteration diverged at sweep {iterations}"
+            )
+    raise NoConvergenceError(
+        f"skeleton Picard iteration stalled at residual {residual:.3e}",
         residual=residual,
-        converged=residual <= config.tol,
     )
 
 
@@ -342,12 +326,7 @@ def solve_mdp_skeleton(
     spec: ModelSpec, grid: TimeGrid, control: MdpControl
 ) -> Path:
     """Solve the moderate skeleton m' = A m + sigma phi + G tilt nu, m(0)=0."""
-    if control.grid != grid:
-        raise GridMismatchError("control grid does not match the skeleton grid")
-    if control.dim != spec.dim:
-        raise InvalidArgumentError("control dimension does not match the model")
-    if control.tilt.shape[1] != spec.n_mark_cells:
-        raise InvalidArgumentError("tilt does not cover the mark cells")
+    check_control(control, spec, grid)
     coeffs = _mdp_coefficients(spec, grid)
     m = _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs)
     return Path(grid, m)

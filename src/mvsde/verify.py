@@ -51,7 +51,7 @@ from .dynamics import (
     simulate_mvsde,  # noqa: F401 -- perfbench/tracing.py wraps it here
 )
 from .errors import InvalidArgumentError
-from .rate import BOUNDARY_ATOL, EventSpec
+from .rate import BOUNDARY_ATOL, EventSpec, _check_tol
 from .rng import derive_seed
 from .skeleton import solve_ldp_skeleton, solve_limit_ode
 
@@ -200,11 +200,6 @@ def _check_jobs(jobs) -> None:
         raise InvalidArgumentError(f"jobs must be an integer >= 1, not {jobs!r}")
 
 
-def _check_tol(tol) -> None:
-    if tol is not None and not (np.isfinite(tol) and tol >= 0):
-        raise InvalidArgumentError("tol must be a finite number >= 0")
-
-
 def check_ldp(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -220,8 +215,8 @@ def check_ldp(
     eps_list = _validate_eps_list(eps_list)
     _check_jobs(jobs)
     _check_tol(tol)
-    reference = event.ref_path if event.kind == "pin_path" else None
-    lanes = [Lane(eps, reference=reference) for eps in eps_list]
+    event.check_dim(spec.dim)
+    lanes = [Lane(eps, reference=event.ref_path) for eps in eps_list]
     ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_ldp")
     return _slope_report(
         "ldp", event, ensembles, eps_list, [None] * len(eps_list), target, tol
@@ -248,6 +243,7 @@ def check_mdp(
     eps_list = _validate_eps_list(eps_list)
     _check_jobs(jobs)
     _check_tol(tol)
+    event.check_dim(spec.dim)
     if not (0.0 < a_exp < 0.5):
         raise InvalidArgumentError(
             "a_exp must lie in (0, 1/2): a -> 0 with eps/a^2 -> 0"
@@ -256,9 +252,8 @@ def check_mdp(
     speeds = [e / a**2 for e, a in zip(eps_list, scale_a)]
 
     xbar = _euler_limit_path(spec, grid)
-    reference = event.ref_path if event.kind == "pin_path" else None
     rungs = [
-        _moderate_lane(spec, grid, eps, a, None, xbar, reference=reference)
+        _moderate_lane(spec, grid, eps, a, None, xbar, reference=event.ref_path)
         for eps, a in zip(eps_list, scale_a)
     ]
     ensembles = _run_ladder(

@@ -4,6 +4,7 @@ import pytest
 from mvsde.core import (
     Control,
     LawSummary,
+    MdpControl,
     ModelSpec,
     Path,
     TimeGrid,
@@ -11,8 +12,10 @@ from mvsde.core import (
     null_control,
     null_mdp_control,
 )
-from mvsde.errors import InvalidArgumentError, InvalidControlError
+from mvsde.dynamics import Lane, simulate_lanes, simulate_mdp_controlled
+from mvsde.errors import GridMismatchError, InvalidArgumentError, InvalidControlError
 from mvsde.rng import SeedBlock, derive_seed
+from mvsde.skeleton import solve_ldp_skeleton, solve_mdp_skeleton
 
 
 def test_time_grid_basics():
@@ -118,3 +121,39 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
     assert derive_seed(7, "check_ldp") == derive_seed(7, "check_ldp")
     assert derive_seed(7, "check_ldp") != derive_seed(7, "check_mdp")
     assert derive_seed(8, "check_ldp") != derive_seed(7, "check_ldp")
+
+
+def _ldp_control(grid, d, c):
+    return Control(grid, np.zeros((grid.n_steps, d)), np.ones((grid.n_steps, c)))
+
+
+def _mdp_control(grid, d, c):
+    return MdpControl(grid, np.zeros((grid.n_steps, d)), np.zeros((grid.n_steps, c)))
+
+
+CONTROLLED = {
+    "simulate_lanes": (
+        _ldp_control,
+        lambda spec, grid, ctl: simulate_lanes(spec, grid, [Lane(0.1, ctl)], 4, 0),
+    ),
+    "simulate_mdp_controlled": (
+        _mdp_control,
+        lambda spec, grid, ctl: simulate_mdp_controlled(spec, grid, 0.01, 0.3, ctl, 4, 0),
+    ),
+    "solve_ldp_skeleton": (_ldp_control, solve_ldp_skeleton),
+    "solve_mdp_skeleton": (_mdp_control, solve_mdp_skeleton),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONTROLLED))
+def test_controls_must_fit_the_model(entry, example11, logistic):
+    # one rule everywhere: one phi column per state dimension, one psi or
+    # tilt column per mark cell (none without jumps), the run's own grid
+    make, run = CONTROLLED[entry]
+    grid = make_time_grid(1.0, 10)
+    for spec, d, c in ((example11, 2, 0), (example11, 1, 1), (logistic, 1, 0), (logistic, 1, 2)):
+        with pytest.raises(InvalidControlError):
+            run(spec, grid, make(grid, d, c))
+    with pytest.raises(GridMismatchError):
+        run(logistic, grid, make(make_time_grid(1.0, 12), 1, 1))
+

@@ -25,7 +25,7 @@ def test_intensity_validation():
     m = two_cell()
     assert m.n_cells == 2
     assert m.mark_dim == 1
-    assert m.total_mass == pytest.approx(3.0)
+    assert m.masses.sum() == pytest.approx(3.0)
     with pytest.raises(InvalidArgumentError):
         IntensityMeasure(atoms=np.array([[1.0]]), masses=np.array([0.0]))
     with pytest.raises(InvalidArgumentError):
@@ -47,7 +47,7 @@ def test_plain_stream_layout_and_counts():
     for k in (0, 17, 49):
         sl = slice(js.step_offsets[k], js.step_offsets[k + 1])
         assert np.all(js.step[sl] == k)
-    # mean total count = rate_scale * total_mass * T per stream
+    # mean total count = rate_scale * |nu| * T per stream
     total = js.n_jumps / 4
     assert abs(total - 300.0) < 4 * np.sqrt(300.0)
 
@@ -62,7 +62,7 @@ def test_step_sampler_cells_are_independent_of_time_and_rank():
         m, 2.0, 0.0, 1.0, np.ones(2), 1.0, n, np.random.default_rng(8)
     )
     assert stream.size == n_proposed
-    share = m.masses / m.total_mass
+    share = m.masses / m.masses.sum()
     for sel in (rank == 0, rank >= 1):
         counts = np.bincount(cell[sel], minlength=2)
         np.testing.assert_allclose(counts / sel.sum(), share, atol=0.02)
@@ -133,7 +133,7 @@ def test_stream_totals_are_poisson():
     n = 4000
     js = sample_prm(grid, m, 10.0, n, np.random.default_rng(5))
     totals = np.bincount(js.stream, minlength=n)
-    mean = 10.0 * m.total_mass * 1.0
+    mean = 10.0 * m.masses.sum() * 1.0
     assert abs(totals.mean() - mean) < 4 * np.sqrt(mean / n)
     assert totals.var() / totals.mean() == pytest.approx(1.0, abs=0.1)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsde import rate
+from mvsde import rate, skeleton
 from mvsde.core import (
     Control,
     MdpControl,
@@ -28,7 +28,8 @@ from mvsde.rate import (
     q1_cost,
     q2_cost,
 )
-from mvsde.skeleton import PicardConfig, solve_mdp_skeleton
+from mvsde.skeleton import solve_mdp_skeleton
+from mvsde.verify import check_ldp, check_mdp
 
 E = 2.718281828459045
 
@@ -208,13 +209,13 @@ def test_ldp_rate_reuses_known_skeletons(pure_jump, monkeypatch):
     assert sum(t["skeleton_solves"] for t in res.trace) == len(calls)
 
 
-def test_stalled_skeleton_scores_as_blow_up(logistic):
+def test_stalled_skeleton_scores_as_blow_up(logistic, monkeypatch):
     grid = make_time_grid(1.0, 60)
     problem = rate._LdpProblem(
         logistic, grid, EventSpec.halfspace([1.0], 1.5),
         OptimizerConfig(control_cells=6),
     )
-    problem.picard = PicardConfig(max_iter=1, raise_on_fail=False)
+    monkeypatch.setattr(skeleton, "_PICARD_MAX_ITER", 1)
     params = np.full(problem.n_params, 0.3)
     cost, g, path = problem.evaluate(params)
     assert cost == np.inf and g == np.inf and path is None
@@ -224,6 +225,36 @@ def test_stalled_skeleton_scores_as_blow_up(logistic):
     # the null control is an exact fixed point after one sweep
     cost, g, path = problem.evaluate(np.zeros(problem.n_params))
     assert cost == 0.0 and path is not None
+
+
+@pytest.mark.parametrize("entry", ["ldp_rate", "mdp_rate", "check_ldp", "check_mdp"])
+def test_events_must_fit_the_model(entry, example11):
+    grid = make_time_grid(1.0, 40)
+    run = {
+        "ldp_rate": lambda spec, event: ldp_rate(spec, grid, event),
+        "mdp_rate": lambda spec, event: mdp_rate(spec, grid, event),
+        "check_ldp": lambda spec, event: check_ldp(spec, grid, [0.2, 0.1], event, 10, 0),
+        "check_mdp": lambda spec, event: check_mdp(spec, grid, [0.2, 0.1], event, 10, 0),
+    }[entry]
+    affine = ModelSpec(
+        name="affine2",
+        dim=2,
+        initial=np.array([1.0, 0.0]),
+        drift=lambda t, x, law: -x,
+        diffusion=lambda t, x, law: np.eye(2),
+    )
+    for event, what in (
+        (EventSpec.pin([1.0], 0.1), "pin target"),
+        (EventSpec.halfspace([1.0], 1.0), "halfspace normal"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=f"{what} has 1 components, model has 2"):
+            run(affine, event)
+    for columns in (0, 2):
+        event = EventSpec.pin_path(Path(grid, np.ones((41, columns))), 0.1)
+        with pytest.raises(
+            InvalidArgumentError, match=f"event path has {columns} components, model has 1"
+        ):
+            run(example11, event)
 
 
 def test_ldp_rate_halfspace(example11):
@@ -276,8 +307,6 @@ def test_mdp_rate_exact_pin_with_nonzero_linearization():
 def test_mdp_rate_solves_the_limit_ode_once(monkeypatch):
     # the response matrix and the optimal control's skeleton share one set of
     # tangent maps, so one mdp_rate call integrates the limit ODE once
-    from mvsde import skeleton
-
     calls = []
     solve = skeleton.solve_limit_ode
 

@@ -19,6 +19,7 @@ DELETED = {
     "ModelConstants",
     "eval_path",
     "path_sup_distance",
+    "PicardConfig",
 }
 
 
