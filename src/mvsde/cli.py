@@ -108,6 +108,21 @@ def parse_event(text: str, dim: int) -> EventSpec:
     return event
 
 
+def _echo_warnings(warnings) -> None:
+    for warning in warnings:
+        click.echo(f"warning: {warning}", err=True)
+
+
+def _finish(out, body: dict, passed: bool, command: str, **params) -> None:
+    """Write {"manifest": ..., **body} to out when given, then exit 4 unless
+    the command's gate passed."""
+    if out is not None:
+        save_report(out, {"manifest": make_manifest(command, **params), **body})
+        click.echo(f"report written to {out}")
+    if not passed:
+        sys.exit(_EXIT_GATE)
+
+
 def _echo_rows(report) -> None:
     for r in report.rows:
         a_part = "" if r.a is None else f"  a={r.a:.4g}"
@@ -167,49 +182,33 @@ def models_cmd():
 @horizon_option
 @seed_option
 @click.option(
-    "--record",
-    type=click.Choice(["full", "summary"]),
-    default="full",
-    show_default=True,
-)
-@click.option(
     "--mean-out",
     type=click.Path(dir_okay=False),
     default=None,
-    help="Write the ensemble mean path as CSV (needs --record full).",
+    help="Write the ensemble mean path as CSV; only then are full paths kept.",
 )
 @out_option
 @_guarded
-def simulate_cmd(model_name, eps, particles, steps, horizon, seed, record, mean_out, out):
+def simulate_cmd(model_name, eps, particles, steps, horizon, seed, mean_out, out):
     """Run the interacting particle system."""
     spec = get_model(model_name)
     grid = make_time_grid(horizon, steps)
+    record = "summary" if mean_out is None else "full"
     ens = simulate_mvsde(spec, grid, eps, particles, seed, record=record)
     summary = ensemble_summary(ens)
     click.echo(
         f"{spec.name}: eps={eps:g} N={particles} steps={steps} "
         f"terminal mean={np.round(summary['terminal_mean'], 6).tolist()}"
     )
-    for warning in ens.meta["warnings"]:
-        click.echo(f"warning: {warning}", err=True)
+    _echo_warnings(ens.meta["warnings"])
     if mean_out is not None:
         save_path_csv(mean_out, Path(grid, ens.mean_path()))
         click.echo(f"mean path written to {mean_out}")
-    if out is not None:
-        payload = {
-            "manifest": make_manifest(
-                "simulate",
-                model=model_name,
-                eps=eps,
-                particles=particles,
-                steps=steps,
-                horizon=horizon,
-                seed=seed,
-            ),
-            "summary": summary,
-        }
-        save_report(out, payload)
-        click.echo(f"report written to {out}")
+    _finish(
+        out, {"summary": summary}, True, "simulate",
+        model=model_name, eps=eps, particles=particles, steps=steps,
+        horizon=horizon, seed=seed,
+    )
 
 
 @main.command("skeleton")
@@ -315,26 +314,13 @@ def rate_cmd(
     if control_out is not None:
         save_control(control_out, result.control)
         click.echo(f"optimal control written to {control_out}")
-    if out is not None:
-        payload = {
-            "manifest": make_manifest(
-                "rate",
-                model=model_name,
-                kind=kind,
-                event=event_text,
-                steps=steps,
-                horizon=horizon,
-                cells=cells,
-                starts=starts,
-                seed=seed,
-            ),
-            "result": result.to_dict(),
-        }
-        save_report(out, payload)
-        click.echo(f"report written to {out}")
     if not result.feasible:
         click.echo("the event is unreachable for this model/control class", err=True)
-        sys.exit(_EXIT_GATE)
+    _finish(
+        out, {"result": result.to_dict()}, result.feasible, "rate",
+        model=model_name, kind=kind, event=event_text, steps=steps,
+        horizon=horizon, cells=cells, starts=starts, seed=seed,
+    )
 
 
 def _verify_common(fn):
@@ -369,7 +355,7 @@ def _resolve_target(target, compute):
     return value
 
 
-def _finish_verify(report, out, manifest):
+def _finish_verify(report, out, command, **params):
     _echo_rows(report)
     click.echo(
         f"fit={report.fit_method}  extrapolated rate={report.intercept:.6f}  "
@@ -380,11 +366,8 @@ def _finish_verify(report, out, manifest):
         click.echo(
             f"censored eps (0 hits, excluded): {report.details['censored_eps']}"
         )
-    if out is not None:
-        save_report(out, {"manifest": manifest, "report": report.to_dict()})
-        click.echo(f"report written to {out}")
-    if not report.passed:
-        sys.exit(_EXIT_GATE)
+    _echo_warnings(report.details.get("warnings", ()))
+    _finish(out, {"report": report.to_dict()}, report.passed, command, **params)
 
 
 @main.command("verify-ldp")
@@ -415,13 +398,12 @@ def verify_ldp_cmd(
         spec, grid, eps_values, event, particles, seed,
         target=target_value, tol=tol, jobs=jobs,
     )
-    manifest = make_manifest(
-        "verify-ldp",
+    _finish_verify(
+        report, out, "verify-ldp",
         model=model_name, eps_list=eps_values, event=event_text,
         particles=particles, steps=steps, horizon=horizon, seed=seed, tol=tol,
         cells=cells, target=target,
     )
-    _finish_verify(report, out, manifest)
 
 
 @main.command("verify-mdp")
@@ -454,13 +436,12 @@ def verify_mdp_cmd(
         spec, grid, eps_values, event, particles, seed,
         a_exp=a_exp, target=target_value, tol=tol, jobs=jobs,
     )
-    manifest = make_manifest(
-        "verify-mdp",
+    _finish_verify(
+        report, out, "verify-mdp",
         model=model_name, eps_list=eps_values, event=event_text,
         particles=particles, a_exp=a_exp, steps=steps, horizon=horizon,
         seed=seed, tol=tol, target=target,
     )
-    _finish_verify(report, out, manifest)
 
 
 @main.command("verify-limit")
@@ -493,16 +474,12 @@ def verify_limit_cmd(
         f"log-log slope={report.slope:.4f} (expected {report.expected_slope:g} "
         f"+/- {report.tol:g})  {'PASS' if report.passed else 'FAIL'}"
     )
-    if out is not None:
-        manifest = make_manifest(
-            "verify-limit",
-            model=model_name, eps_list=eps_values, particles=particles,
-            steps=steps, horizon=horizon, seed=seed, tol=tol,
-        )
-        save_report(out, {"manifest": manifest, "report": asdict(report)})
-        click.echo(f"report written to {out}")
-    if not report.passed:
-        sys.exit(_EXIT_GATE)
+    _echo_warnings(report.details.get("warnings", ()))
+    _finish(
+        out, {"report": asdict(report)}, report.passed, "verify-limit",
+        model=model_name, eps_list=eps_values, particles=particles,
+        steps=steps, horizon=horizon, seed=seed, tol=tol,
+    )
 
 
 @main.command("demo-example11")
@@ -529,15 +506,10 @@ def demo_cmd(eps, particles, steps, seed, out):
         f"{'ok' if report.gap_ok else 'off'})"
     )
     click.echo("PASS" if report.passed else "FAIL")
-    if out is not None:
-        manifest = make_manifest(
-            "demo-example11",
-            eps=eps, particles=particles, steps=steps, seed=seed,
-        )
-        save_report(out, {"manifest": manifest, "report": asdict(report)})
-        click.echo(f"report written to {out}")
-    if not report.passed:
-        sys.exit(_EXIT_GATE)
+    _finish(
+        out, {"report": asdict(report)}, report.passed, "demo-example11",
+        eps=eps, particles=particles, steps=steps, seed=seed,
+    )
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ from typing import Callable, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidArgumentError, InvalidControlError
+from .errors import (
+    GridMismatchError, InvalidArgumentError, InvalidControlError, UnsupportedError,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, type hints only
     from .levy import IntensityMeasure
@@ -210,38 +212,34 @@ def null_mdp_control(grid: TimeGrid, dim: int, n_mark_cells: int = 0) -> MdpCont
 
 
 class LawSummary:
-    """Tagged summary of a probability law passed to model coefficients.
+    """Summary of a probability law passed to model coefficients.
 
-    kind "dirac": point mass; point may be (d,) or (n, d) for a batch of
-    point masses, one per particle.
-    kind "empirical": uniform weights on an (N, d) atom cloud.
+    dirac(point): a point mass, point (d,); or a batch of point masses,
+    point (n, d), one per row of the state batch, as the skeletons and the
+    moderate linearization freeze the law along the limit path.
+    empirical(cloud): uniform weights on an (N, d) atom cloud.
     Coefficients should consume `mean` (and `cloud` when they need atoms).
+    A batch of point masses has no single cloud, so its `cloud` raises
+    UnsupportedError: a coefficient that reads atoms cannot run there.
     """
 
-    __slots__ = ("kind", "_point", "_cloud", "_mean")
+    __slots__ = ("_mean", "_cloud")
 
-    def __init__(self, kind: str, point=None, cloud=None):
-        if kind not in ("dirac", "empirical"):
-            raise InvalidArgumentError(f"unknown law summary kind {kind!r}")
-        self.kind = kind
-        self._point = None if point is None else np.asarray(point, dtype=float)
-        self._cloud = None if cloud is None else np.asarray(cloud, dtype=float)
-        if kind == "empirical":
-            if self._cloud is None or self._cloud.ndim != 2 or self._cloud.shape[0] < 1:
-                raise InvalidArgumentError("empirical summary needs an (N, d) cloud")
-            self._mean = self._cloud.mean(axis=0)
-        else:
-            if self._point is None:
-                raise InvalidArgumentError("dirac summary needs a point")
-            self._mean = self._point
+    def __init__(self, mean: np.ndarray, cloud: np.ndarray | None):
+        self._mean = mean
+        self._cloud = cloud
 
     @classmethod
     def dirac(cls, point) -> "LawSummary":
-        return cls("dirac", point=point)
+        point = np.asarray(point, dtype=float)
+        return cls(point, point[None] if point.ndim == 1 else None)
 
     @classmethod
     def empirical(cls, cloud) -> "LawSummary":
-        return cls("empirical", cloud=cloud)
+        cloud = np.asarray(cloud, dtype=float)
+        if cloud.ndim != 2 or cloud.shape[0] < 1:
+            raise InvalidArgumentError("empirical summary needs an (N, d) cloud")
+        return cls(cloud.mean(axis=0), cloud)
 
     @property
     def mean(self) -> np.ndarray:
@@ -249,12 +247,14 @@ class LawSummary:
 
     @property
     def cloud(self) -> np.ndarray:
-        if self.kind == "empirical":
-            return self._cloud
-        return np.atleast_2d(self._point)
+        if self._cloud is None:
+            raise UnsupportedError(
+                "a batch of point masses has no atom cloud; read law.mean instead"
+            )
+        return self._cloud
 
     def __repr__(self):
-        return f"LawSummary({self.kind}, mean={np.ravel(self._mean)[:4]})"
+        return f"LawSummary(mean={np.ravel(self._mean)[:4]})"
 
 
 @dataclass(frozen=True)

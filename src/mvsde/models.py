@@ -4,7 +4,8 @@ Coefficient conventions: drift(t, x, law) -> (n, d) with x an (n, d) state
 batch and t a scalar or (n,) array; diffusion returns a (d, d) matrix (or an
 (n, d, d) batch); jump(t, x, law, z) -> (n, d) for one mark atom z. Laws
 arrive as LawSummary; models should read law.mean (broadcast against x) and
-law.cloud only if they truly need atoms.
+law.cloud only if they truly need atoms: the skeletons and the rates freeze
+the law as one point mass per row, which has no cloud, and refuse them.
 
 No model supplies a jacobian: the moderate skeleton linearizes every model
 the same way, with A(t) = d_x b(t, xbar, d_xbar), the law frozen at the

@@ -26,12 +26,19 @@ constants; OptimizerConfig sets only the starts, the control cells and the
 seed.
 
 mdp_rate is exact: the moderate skeleton is linear in the control, so the
-least-norm value 1/2 r^T (A W^-1 A^T)^-1 r follows from its terminal
+cheapest control that steers it to a terminal r is the least-norm solution
+u = W^-1 A^T alpha of G alpha = r, G = A W^-1 A^T, from its terminal
 response matrix A and the cost weights W. A's d rows come from one reverse
 sweep of the trapezoid skeleton map's tangent at the null control, batched
 over the unit cotangents: the adjoint that gives ldp_rate its gradients, in
-O(steps) memory. Halfspace events pin to the boundary; a pin tolerance
-shrinks the target toward the reachable set.
+O(steps) memory. Each event kind only picks its cheapest terminal r: a pin
+shrinks its target by its tolerance toward the origin in the metric of G,
+a halfspace takes max(level, 0) G n / (n^T G n) on its boundary (0 when
+n^T G n = 0). One least-squares solve then gives alpha, so a singular G
+(noise that reaches only some coordinates) needs no special case. As in
+ldp_rate, the result is feasible iff its skeleton's event residual is at
+most _FEASIBILITY_TOL, and its value is the cost of the control it returns
+(inf when infeasible).
 """
 from __future__ import annotations
 
@@ -503,7 +510,7 @@ def _mdp_response(spec: ModelSpec, grid: TimeGrid, coeffs=None):
 
 def _shrink_pin_target(r: np.ndarray, gram: np.ndarray, tol: float) -> np.ndarray:
     """Replace r by the cheapest point of the ball |r' - r| <= tol, cost
-    measured by the quadratic form 1/2 r'^T gram^-1 r'."""
+    measured by the quadratic form 1/2 r'^T gram^+ r'; gram may be singular."""
     norm = float(np.linalg.norm(r))
     if tol <= 0.0 or norm == 0.0:
         return r
@@ -511,33 +518,33 @@ def _shrink_pin_target(r: np.ndarray, gram: np.ndarray, tol: float) -> np.ndarra
         return np.zeros_like(r)
     if r.size == 1:
         return np.sign(r) * (norm - tol)
-    # KKT: r'(mu) = mu (M + mu I)^-1 r with M = gram^-1; |r'(mu) - r| = tol.
-    m = np.linalg.inv(gram)
+    # KKT: r'(mu) = mu gram (I + mu gram)^-1 r; |r'(mu) - r| = tol.
+    eye = np.eye(r.size)
 
-    def gap(mu: float) -> float:
-        rp = mu * np.linalg.solve(m + mu * np.eye(r.size), r)
-        return float(np.linalg.norm(rp - r)) - tol
+    def shrink(mu: float) -> np.ndarray:
+        return mu * gram @ np.linalg.solve(eye + mu * gram, r)
 
     lo, hi = 0.0, 1.0
-    while gap(hi) > 0.0:
+    while np.linalg.norm(shrink(hi) - r) > tol:
         hi *= 2.0
         if hi > 1e16:
             break
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
+        if np.linalg.norm(shrink(mid) - r) > tol:
             lo = mid
         else:
             hi = mid
-    mu = 0.5 * (lo + hi)
-    return mu * np.linalg.solve(m + mu * np.eye(r.size), r)
+    return shrink(0.5 * (lo + hi))
 
 
 def mdp_rate(spec: ModelSpec, grid: TimeGrid, event: EventSpec) -> RateResult:
     """Exact least-norm value of the moderate rate function for the event.
 
     The moderate skeleton starts at 0, so pin targets and halfspace levels
-    are read in fluctuation coordinates.
+    are read in fluctuation coordinates. The result is feasible iff the
+    least-norm control's skeleton realizes the event; otherwise its value
+    is inf and it carries that control and its residual.
     """
     event.check_dim(spec.dim)
     if event.kind == "pin_path":
@@ -546,56 +553,27 @@ def mdp_rate(spec: ModelSpec, grid: TimeGrid, event: EventSpec) -> RateResult:
         )
     coeffs = _mdp_coefficients(spec, grid)
     a_mat, w = _mdp_response(spec, grid, coeffs=coeffs)
-    d = spec.dim
-    awat = (a_mat / w) @ a_mat.T  # A W^-1 A^T, (d, d)
-
-    def solve_pinned(r: np.ndarray):
-        try:
-            alpha = np.linalg.solve(awat, r)
-        except np.linalg.LinAlgError:
-            alpha, *_ = np.linalg.lstsq(awat, r, rcond=None)
-        if np.linalg.norm(awat @ alpha - r) > 1e-9 * (1.0 + np.linalg.norm(r)):
-            return None, None
-        u = (a_mat.T * (1.0 / w)[:, None]) @ alpha
-        return float(0.5 * r @ alpha), u
-
+    d, n, c = spec.dim, grid.n_steps, spec.n_mark_cells
+    gram = (a_mat / w) @ a_mat.T  # A W^-1 A^T, (d, d)
     if event.kind == "pin_terminal":
-        target = np.reshape(event.target, (d,))
-        r = _shrink_pin_target(target, awat, event.tol)
-        value, u = solve_pinned(r)
+        r = _shrink_pin_target(np.reshape(event.target, (d,)), gram, event.tol)
     else:
+        # the cheapest terminal on the boundary lies along gram n
         normal = np.reshape(event.normal, (d,))
-        if event.level <= 0.0:
-            value, u = 0.0, np.zeros(a_mat.shape[1])
-        else:
-            row = normal @ a_mat
-            denom = float(row @ (row / w))
-            if denom <= 0.0:
-                value, u = None, None
-            else:
-                value = 0.5 * event.level**2 / denom
-                u = (row / w) * (event.level / denom)
-
-    n, c = grid.n_steps, spec.n_mark_cells
-    if value is None:
-        null = MdpControl(grid, np.zeros((n, d)), np.zeros((n, c)))
-        return RateResult(
-            value=np.inf,
-            control=null,
-            skeleton=Path(grid, np.zeros((n + 1, d))),
-            residual=np.inf,
-            feasible=False,
-            trace=[{"reason": "event unreachable for the linear response"}],
-        )
-    stacked = u.reshape(n, d + c)
+        reach = gram @ normal
+        denom = float(normal @ reach)
+        r = max(event.level, 0.0) * reach / denom if denom > 0.0 else np.zeros(d)
+    alpha, *_ = np.linalg.lstsq(gram, r, rcond=None)
+    stacked = ((a_mat.T @ alpha) / w).reshape(n, d + c)
     control = MdpControl(grid, stacked[:, :d], stacked[:, d:])
-    skel = _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs=coeffs)
-    path = Path(grid, skel)
+    path = Path(grid, _propagate_mdp(spec, grid, control.phi, control.tilt, coeffs=coeffs))
+    residual = event.residual(path)
+    feasible = residual <= _FEASIBILITY_TOL
     return RateResult(
-        value=float(value),
+        value=mdp_cost(control, spec.intensity) if feasible else np.inf,
         control=control,
         skeleton=path,
-        residual=event.residual(path),
-        feasible=True,
+        residual=residual,
+        feasible=feasible,
         trace=[{"method": "least_norm"}],
     )

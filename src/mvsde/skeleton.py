@@ -141,27 +141,29 @@ def solve_ldp_skeleton(
     tilt_w = (control.psi - 1.0) * spec.intensity.masses if spec.has_jumps else None
 
     y = xbar.copy()
-    for iterations in range(1, _PICARD_MAX_ITER + 1):
-        b, sig, g_nodes = _coefficients(spec, t, y, law)
-        f = b - b_base
-        sig_lo, sig_hi = (sig, sig) if sig.ndim == 2 else (sig[:-1], sig[1:])
-        # phi is constant on each cell, so it multiplies both cell endpoints.
-        f_lo = f[:-1] + _matvec(sig_lo, phi)
-        f_hi = f[1:] + _matvec(sig_hi, phi)
-        if spec.has_jumps:
-            f_lo = f_lo + np.einsum("ncd,nc->nd", g_nodes[:-1], tilt_w)
-            f_hi = f_hi + np.einsum("ncd,nc->nd", g_nodes[1:], tilt_w)
-        increments = 0.5 * dt * (f_lo + f_hi)
-        y_new = xbar.copy()
-        y_new[1:] += np.cumsum(increments, axis=0)
-        residual = float(np.max(np.abs(y_new - y)))  # NaN if any entry is
-        y = y_new
-        if residual <= _PICARD_TOL:
-            return SkeletonSolution(Path(grid, y), iterations, residual)
-        if not math.isfinite(residual):
-            raise DivergenceError(
-                f"skeleton Picard iteration diverged at sweep {iterations}"
-            )
+    # a diverging sweep overflows; its non-finite residual raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, _PICARD_MAX_ITER + 1):
+            b, sig, g_nodes = _coefficients(spec, t, y, law)
+            f = b - b_base
+            sig_lo, sig_hi = (sig, sig) if sig.ndim == 2 else (sig[:-1], sig[1:])
+            # phi is constant on each cell, so it multiplies both cell endpoints.
+            f_lo = f[:-1] + _matvec(sig_lo, phi)
+            f_hi = f[1:] + _matvec(sig_hi, phi)
+            if spec.has_jumps:
+                f_lo = f_lo + np.einsum("ncd,nc->nd", g_nodes[:-1], tilt_w)
+                f_hi = f_hi + np.einsum("ncd,nc->nd", g_nodes[1:], tilt_w)
+            increments = 0.5 * dt * (f_lo + f_hi)
+            y_new = xbar.copy()
+            y_new[1:] += np.cumsum(increments, axis=0)
+            residual = float(np.max(np.abs(y_new - y)))  # NaN if any entry is
+            y = y_new
+            if residual <= _PICARD_TOL:
+                return SkeletonSolution(Path(grid, y), iterations, residual)
+            if not math.isfinite(residual):
+                raise DivergenceError(
+                    f"skeleton Picard iteration diverged at sweep {iterations}"
+                )
     raise NoConvergenceError(
         f"skeleton Picard iteration stalled at residual {residual:.3e}",
         residual=residual,

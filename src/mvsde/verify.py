@@ -145,6 +145,14 @@ def _run_ladder(spec, grid, lanes, n_particles, seed, label) -> list:
     return simulate_lanes(spec, grid, lanes, n_particles, derive_seed(seed, label))
 
 
+def _add_warnings(details: dict, ensembles) -> dict:
+    """details with the rungs' warnings under "warnings", when there are any."""
+    warnings = [w for ens in ensembles for w in ens.meta["warnings"]]
+    if warnings:
+        details["warnings"] = warnings
+    return details
+
+
 def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> SlopeReport:
     """Slope rows of the rungs' ensembles at the given speeds (and moderate
     scales a, or None), their extrapolated fit, and the gate at target."""
@@ -165,6 +173,7 @@ def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> Slope
     method, intercept, details = fit_rate_extrapolation(rows)
     if event.kind == "halfspace":
         details["boundary_gap_per_eps"] = _boundary_gaps(event, [e.terminal for e in ensembles])
+    _add_warnings(details, ensembles)
     passed = None
     if target is not None:
         tol = 0.05 if tol is None else tol
@@ -276,12 +285,14 @@ class ConvergenceReport:
     details: dict = field(default_factory=dict)
 
 
-def _convergence_report(kind, eps_list, values, tol, details) -> ConvergenceReport:
-    """The log-log slope of values against eps, gated at 1 +/- tol."""
+def _convergence_report(kind, eps_list, rungs, tol, details) -> ConvergenceReport:
+    """The log-log slope of the rungs' mean sup_sq against eps, gated at
+    1 +/- tol."""
+    values = [float(ens.sup_sq.mean()) for ens in rungs]
     slope, intercept = (float(c) for c in np.polyfit(np.log(eps_list), np.log(values), 1))
     return ConvergenceReport(
         kind, list(eps_list), values, slope, intercept, 1.0, tol,
-        bool(abs(slope - 1.0) <= tol), details,
+        bool(abs(slope - 1.0) <= tol), _add_warnings(details, rungs),
     )
 
 
@@ -302,13 +313,13 @@ def check_limit_convergence(
     limit = solve_limit_ode(spec, grid)
     lanes = [Lane(eps, reference=limit) for eps in eps_list]
     ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_limit")
-    values = [float(ens.sup_sq.mean()) for ens in ensembles]
     w2_terminal = [
         float(np.sqrt(np.mean(np.sum((ens.terminal - limit.terminal) ** 2, axis=1))))
         for ens in ensembles
     ]
     return _convergence_report(
-        "limit_convergence", eps_list, values, tol, {"terminal_w2_to_limit": w2_terminal}
+        "limit_convergence", eps_list, ensembles, tol,
+        {"terminal_w2_to_limit": w2_terminal},
     )
 
 
@@ -330,9 +341,9 @@ def check_controlled_convergence(
     lanes = [Lane(eps) for eps in eps_list]
     lanes += [Lane(eps, control, i, skeleton) for i, eps in enumerate(eps_list)]
     ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_controlled")
-    values = [float(ens.sup_sq.mean()) for ens in ensembles[len(eps_list):]]
     return _convergence_report(
-        "controlled_convergence", eps_list, values, tol, {"control_event": "frozen-law tracking"}
+        "controlled_convergence", eps_list, ensembles[len(eps_list):], tol,
+        {"control_event": "frozen-law tracking"},
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from mvsde import cli
 from mvsde.cli import main, parse_event
 from mvsde.errors import InvalidArgumentError
 from mvsde.rate import EventSpec
@@ -105,6 +106,28 @@ def test_rate_unreachable_exits_4(runner):
     assert "unreachable" in out.output
 
 
+@pytest.mark.parametrize(
+    "event, code, value",
+    [
+        ("pin:1,0:0.1", 0, "0.405 "),
+        ("pin:0,1:0.1", 4, "inf "),
+        ("pin:1,0:0", 0, "0.5 "),
+        ("half:0,1:-0.1", 0, "0 "),
+        ("half:0,1:0.5", 4, "inf "),
+    ],
+)
+def test_rate_mdp_with_a_singular_response(runner, degenerate_file, event, code, value):
+    out = runner.invoke(
+        main,
+        [
+            "rate", "--kind", "mdp", "--model", str(degenerate_file), "--steps", "50",
+            "--event", event,
+        ],
+    )
+    assert out.exit_code == code, out.output
+    assert f"mdp rate value: {value}" in out.output
+
+
 def test_rate_mdp_rejects_path_events(runner, tmp_path):
     ref = tmp_path / "ref.csv"
     ref.write_text("t,x0\n0.0,0.0\n1.0,0.0\n")
@@ -169,6 +192,87 @@ def test_verify_mdp_manifest_records_target(runner, tmp_path):
     assert out.exit_code == 0, out.output
     manifest = json.loads(report.read_text())["manifest"]
     assert manifest["command"] == "verify-mdp" and manifest["target"] == "auto"
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["simulate", "--eps", "0.05", "--particles", "100", "--steps", "20"], 0),
+        (["rate", "--kind", "mdp", "--event", "pin:1.0:0", "--steps", "50"], 0),
+        (
+            [
+                "verify-ldp", "--event", "half:1.0:3.218281828", "--eps-list",
+                "0.3,0.2", "--particles", "500", "--steps", "50",
+                "--target", "0.125", "--tol", "0.5",
+            ],
+            0,
+        ),
+        (
+            # a failed gate still writes its report
+            [
+                "verify-ldp", "--event", "half:1.0:3.218281828", "--eps-list",
+                "0.3,0.2", "--particles", "500", "--steps", "50",
+                "--target", "9.0", "--tol", "0.001",
+            ],
+            4,
+        ),
+        (
+            [
+                "verify-mdp", "--event", "half:1.0:0.5", "--eps-list", "0.01,0.004",
+                "--particles", "500", "--steps", "50", "--tol", "1.0",
+            ],
+            0,
+        ),
+        (["verify-limit", "--eps-list", "0.2,0.05", "--particles", "300", "--steps", "40"], 0),
+        (["demo-example11", "--particles", "200"], 0),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_report_commands_share_one_exit(runner, tmp_path, args, code):
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    for report in reports:
+        out = runner.invoke(main, args + ["--seed", "3", "--out", str(report)])
+        assert out.exit_code == code, out.output
+        assert f"report written to {report}" in out.output
+    assert json.loads(reports[0].read_text())["manifest"]["command"] == args[0]
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+@pytest.mark.parametrize("mean_out, record", [(False, "summary"), (True, "full")])
+def test_simulate_keeps_full_paths_only_for_mean_out(
+    runner, tmp_path, monkeypatch, mean_out, record
+):
+    seen = []
+    simulate = cli.simulate_mvsde
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["record"])
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_mvsde", spy)
+    args = ["simulate", "--particles", "50", "--steps", "20"]
+    if mean_out:
+        args += ["--mean-out", str(tmp_path / "mean.csv")]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 0, out.output
+    assert seen == [record]
+    assert runner.invoke(main, ["simulate", "--record", "full"]).exit_code == 2
+
+
+def test_verification_ladders_report_their_warnings(runner, tmp_path):
+    report = tmp_path / "ldp.json"
+    out = runner.invoke(
+        main,
+        [
+            "verify-ldp", "--event", "half:1.0:3.218281828", "--eps-list", "0.9,0.6",
+            "--particles", "200", "--steps", "20", "--target", "0.125",
+            "--tol", "10", "--out", str(report),
+        ],
+    )
+    assert out.exit_code == 0, out.output
+    assert "warning: eps=0.9 is outside the small-noise regime" in out.stderr
+    warnings = json.loads(report.read_text())["report"]["details"]["warnings"]
+    assert [w.split(" ")[0] for w in warnings] == ["eps=0.9", "eps=0.6"]
 
 
 def test_verify_limit_quick(runner):

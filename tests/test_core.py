@@ -13,7 +13,9 @@ from mvsde.core import (
     null_mdp_control,
 )
 from mvsde.dynamics import Lane, simulate_lanes, simulate_mdp_controlled
-from mvsde.errors import GridMismatchError, InvalidArgumentError, InvalidControlError
+from mvsde.errors import (
+    GridMismatchError, InvalidArgumentError, InvalidControlError, UnsupportedError,
+)
 from mvsde.rng import SeedBlock, derive_seed
 from mvsde.skeleton import solve_ldp_skeleton, solve_mdp_skeleton
 
@@ -84,8 +86,11 @@ def test_law_summary_dirac_and_empirical():
     cloud = LawSummary.empirical(np.array([[0.0], [2.0]]))
     np.testing.assert_allclose(cloud.mean, [1.0])
     assert cloud.cloud.shape == (2, 1)
+    assert dirac.cloud.shape == (1, 2)  # one atom
     batch = LawSummary.dirac(np.array([[1.0], [3.0]]))  # one point per particle
     assert batch.mean.shape == (2, 1)
+    with pytest.raises(UnsupportedError, match="law.mean"):
+        batch.cloud
 
 
 def test_model_spec_jump_requires_intensity(example11):

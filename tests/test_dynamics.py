@@ -24,10 +24,10 @@ from mvsde.dynamics import (
     simulate_mvsde,
 )
 from mvsde.dynamics import _euler_limit_path
-from mvsde.errors import DivergenceError, InvalidArgumentError
+from mvsde.errors import DivergenceError, InvalidArgumentError, UnsupportedError
 from mvsde.levy import IntensityMeasure
 from mvsde.models import get_model, load_model_file
-from mvsde.rate import _mdp_response
+from mvsde.rate import EventSpec, OptimizerConfig, _mdp_response, ldp_rate, mdp_rate
 from mvsde.skeleton import _DIVERGENCE_LIMIT, _guard, solve_ldp_skeleton, solve_limit_ode
 
 # forward Euler applied to x' = x from 1.0 on 400 equal cells
@@ -401,6 +401,20 @@ def test_lockstep_coefficients_read_the_left_endpoint_cloud():
     for by_mean, by_cloud in zip(*runs):
         _assert_same_run(by_mean, by_cloud)
         assert by_mean.meta["n_jumps"] > 0
+
+
+def test_point_mass_batches_refuse_cloud():
+    # the skeletons and the rates freeze the law as one point mass per node;
+    # a coefficient reading atoms there would average over every node
+    spec = _mean_reader(lambda law: law.cloud.mean(axis=0))
+    grid = make_time_grid(1.0, 20)
+    event = EventSpec.halfspace([1.0], 0.3)
+    with pytest.raises(UnsupportedError, match="law.mean"):
+        solve_ldp_skeleton(spec, grid, null_control(grid, 1, 1))
+    with pytest.raises(UnsupportedError):
+        mdp_rate(spec, grid, event)
+    with pytest.raises(UnsupportedError):
+        ldp_rate(spec, grid, event, OptimizerConfig(n_starts=1, control_cells=2))
 
 
 def _affine_jump_model(tmp_path, n_atoms):

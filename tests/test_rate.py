@@ -17,7 +17,7 @@ from mvsde.core import (
 )
 from mvsde.errors import InvalidArgumentError, UnsupportedError
 from mvsde.levy import IntensityMeasure
-from mvsde.models import get_model
+from mvsde.models import get_model, load_model_file
 from mvsde.rate import (
     EventSpec,
     OptimizerConfig,
@@ -374,6 +374,46 @@ def test_mdp_rate_unreachable_is_infinite():
     res = mdp_rate(dead, make_time_grid(1.0, 50), EventSpec.pin([1.0]))
     assert res.value == np.inf
     assert not res.feasible
+    # it carries the least-norm control (here null) and its true residual
+    assert not res.control.phi.any()
+    assert res.residual == 1.0
+
+
+@pytest.mark.parametrize(
+    "event, value",
+    [
+        (EventSpec.pin([1.0, 0.0], tol=0.1), 0.405),
+        (EventSpec.pin([0.0, 1.0], tol=0.1), np.inf),
+        (EventSpec.pin([1.0, 0.0]), 0.5),
+        # free: the null control already lies in it, though n^T G n = 0
+        (EventSpec.halfspace([0.0, 1.0], -0.1), 0.0),
+        (EventSpec.halfspace([0.0, 1.0], 0.5), np.inf),
+    ],
+    ids=["pin_tol", "pin_unreachable", "pin", "half_free", "half_unreachable"],
+)
+def test_mdp_rate_with_a_singular_response(degenerate_file, event, value):
+    spec = load_model_file(degenerate_file)
+    res = mdp_rate(spec, make_time_grid(1.0, 50), event)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert res.feasible == np.isfinite(value)
+    assert res.feasible == (res.residual <= rate._FEASIBILITY_TOL)
+
+
+@pytest.mark.parametrize("model", ["example11", "linear_gaussian", "logistic_mf"])
+@pytest.mark.parametrize(
+    "event",
+    [EventSpec.pin([0.8]), EventSpec.pin([0.4], tol=0.1), EventSpec.halfspace([1.0], 0.3)],
+    ids=["pin", "pin_tol", "half"],
+)
+def test_each_rate_is_the_cost_of_its_control(model, event):
+    spec = get_model(model)
+    grid = make_time_grid(1.0, 50)
+    res = mdp_rate(spec, grid, event)
+    assert res.feasible
+    assert res.value == mdp_cost(res.control, spec.intensity)
+    res = ldp_rate(spec, grid, event, OptimizerConfig(n_starts=2, control_cells=4))
+    assert res.feasible
+    assert res.value == q1_cost(res.control) + q2_cost(res.control, spec.intensity)
 
 
 def test_mdp_rate_rejects_path_events(example11):

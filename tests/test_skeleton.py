@@ -82,7 +82,7 @@ def test_picard_reports_non_convergence(monkeypatch):
     assert problem.evaluate(np.ones(problem.n_params)) == (np.inf, np.inf, None)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_skeleton_raises_divergence_error():
     # b = x^2 from x0 = 0 under the Brownian control phi = 20: the skeleton
     # y' = y^2 + 20 leaves every bound near t = pi / (2 sqrt(20)) < 0.9, and
