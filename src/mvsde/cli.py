@@ -185,7 +185,7 @@ def models_cmd():
     "--mean-out",
     type=click.Path(dir_okay=False),
     default=None,
-    help="Write the ensemble mean path as CSV; only then are full paths kept.",
+    help="Write the ensemble mean path as CSV; only then is each node's mean kept.",
 )
 @out_option
 @_guarded
@@ -193,7 +193,7 @@ def simulate_cmd(model_name, eps, particles, steps, horizon, seed, mean_out, out
     """Run the interacting particle system."""
     spec = get_model(model_name)
     grid = make_time_grid(horizon, steps)
-    record = "summary" if mean_out is None else "full"
+    record = "summary" if mean_out is None else "mean"
     ens = simulate_mvsde(spec, grid, eps, particles, seed, record=record)
     summary = ensemble_summary(ens)
     click.echo(

@@ -217,7 +217,14 @@ class LawSummary:
     dirac(point): a point mass, point (d,); or a batch of point masses,
     point (n, d), one per row of the state batch, as the skeletons and the
     moderate linearization freeze the law along the limit path.
-    empirical(cloud): uniform weights on an (N, d) atom cloud.
+    empirical(cloud): uniform weights on an (N, d) atom cloud, held by
+    reference, not copied; its mean is np.mean(cloud, axis=0), taken on the
+    first read of `mean`, so a law that no coefficient reads costs no pass
+    over the cloud. That is safe only under the move-order contract: every
+    read of the law happens before its cloud moves (simulate_lanes moves a
+    cloud only after every coefficient call that can read it). A frozen-law
+    callable must not hand out an empirical law whose cloud moves before its
+    mean is read.
     Coefficients should consume `mean` (and `cloud` when they need atoms).
     A batch of point masses has no single cloud, so its `cloud` raises
     UnsupportedError: a coefficient that reads atoms cannot run there.
@@ -239,10 +246,12 @@ class LawSummary:
         cloud = np.asarray(cloud, dtype=float)
         if cloud.ndim != 2 or cloud.shape[0] < 1:
             raise InvalidArgumentError("empirical summary needs an (N, d) cloud")
-        return cls(cloud.mean(axis=0), cloud)
+        return cls(None, cloud)
 
     @property
     def mean(self) -> np.ndarray:
+        if self._mean is None:
+            self._mean = np.mean(self._cloud, axis=0)
         return self._mean
 
     @property
@@ -254,7 +263,7 @@ class LawSummary:
         return self._cloud
 
     def __repr__(self):
-        return f"LawSummary(mean={np.ravel(self._mean)[:4]})"
+        return f"LawSummary(mean={np.ravel(self.mean)[:4]})"
 
 
 @dataclass(frozen=True)

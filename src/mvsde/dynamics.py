@@ -39,21 +39,29 @@ jumps are sampled inside the loop, sorted once (levy.propose_step) and
 masked per lane (levy.thin_step), so no lane sorts and memory holds one
 step's jumps, not the horizon's. The compensator is summed atom by atom;
 with three or more mark atoms its last bit can differ from an einsum's.
+While every atom's G has its rows all equal (a (d,) value, or a view with
+row stride 0, as pure_jump and the JSON models give) it is summed as one
+(d,) row, fl(fl(sum_j fl(G_j m_j)) dt), and subtracted from every particle:
+the same bits as the (N, d) atom loop, for one pass over the cloud instead
+of three.
 Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
 
 Work that lanes share is done once per step, in the same operations and
 order as per lane, so no bit changes: one LawSummary per cloud read (a
-lane that reads lane j reuses lane j's); sigma dW once, in the place of dW,
-when every lane's sigma is the same constant (d, d) matrix (a state-dependent
-(n, d, d) sigma stays per lane); its sqrt(eps) scaling once per run of
-lanes of one eps; and a law-only drift (rows all equal: a (d,) value, or a
-view with row stride 0) scaled as one row and added in the noise pass,
-fl(n + fl(dt b)) = fl(fl(dt b) + n). The scaled noise stays valid across
-lanes until a buffer takes it as scratch: the compensator does, and
-invalidates it; the recorder takes the increment buffer instead, which is
-free once the cloud has moved.
+lane that reads lane j reuses lane j's), whose mean is taken on its first
+read, so a step whose coefficients never read law.mean takes none (the
+move-order rule above makes that read see the left-endpoint cloud); sigma
+dW once, in the place of dW, when every lane's sigma is the same constant
+(d, d) matrix (a state-dependent (n, d, d) sigma stays per lane); its
+sqrt(eps) scaling once per run of lanes of one eps; and a law-only drift
+(rows all equal: a (d,) value, or a view with row stride 0) scaled as one
+row and added in the noise pass, fl(n + fl(dt b)) = fl(fl(dt b) + n). The
+scaled noise stays valid across lanes until a buffer takes it as scratch:
+an (N, d) compensator does, and invalidates it (a one-row compensator does
+not); the recorder takes the increment buffer instead, which is free once
+the cloud has moved.
 
 The moderate lane is the same engine read in fluctuation coordinates
 M = (X - xbar) / a (_moderate_lane). Under the null control it runs the
@@ -103,10 +111,11 @@ _PSI_FLOOR = 1e-3
 class ParticleEnsemble:
     """Result of one particle-system run.
 
-    paths is (n_nodes, n_particles, d) under record="full" and None under
-    record="summary"; terminal is always the final (n_particles, d) cloud.
-    sup_sq holds each particle's running max squared distance to the
-    reference path when one was supplied.
+    paths is (n_nodes, n_particles, d) under record="full" and None
+    otherwise; means is the (n_nodes, d) cloud mean at each node under
+    record="mean" and None otherwise; terminal is always the final
+    (n_particles, d) cloud. sup_sq holds each particle's running max squared
+    distance to the reference path when one was supplied.
     """
 
     grid: TimeGrid
@@ -119,22 +128,28 @@ class ParticleEnsemble:
     paths: np.ndarray | None = None
     sup_sq: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    means: np.ndarray | None = None
 
     def mean_path(self) -> np.ndarray:
+        """The (n_nodes, d) cloud mean at each node; the same bits under
+        record="mean" as under "full"."""
+        if self.means is not None:
+            return self.means
         if self.paths is None:
-            raise InvalidArgumentError("mean_path needs record='full'")
+            raise InvalidArgumentError("mean_path needs record='full' or 'mean'")
         return self.paths.mean(axis=1)
 
 
 class _Recorder:
-    """Full path buffer under record="full" (None under "summary"), plus each
-    particle's running max squared distance to the reference, if any."""
+    """Full path buffer under record="full", each node's cloud mean under
+    "mean" (neither under "summary"), plus each particle's running max
+    squared distance to the reference, if any."""
 
     def __init__(self, record, n_nodes, n_particles, dim, reference):
-        if record not in ("full", "summary"):
+        if record not in ("full", "mean", "summary"):
             raise InvalidArgumentError(f"unknown record mode {record!r}")
-        full = record == "full"
-        self.paths = np.empty((n_nodes, n_particles, dim)) if full else None
+        self.paths = np.empty((n_nodes, n_particles, dim)) if record == "full" else None
+        self.means = np.empty((n_nodes, dim)) if record == "mean" else None
         self.reference = reference
         self.sup_sq = None if reference is None else np.zeros(n_particles)
         self.d2 = None if reference is None else np.empty(n_particles)
@@ -143,6 +158,8 @@ class _Recorder:
         """Record the cloud x at node k; scratch is a free (N, d) buffer."""
         if self.paths is not None:
             self.paths[k] = x
+        if self.means is not None:
+            self.means[k] = x.mean(axis=0)
         if self.reference is not None:
             np.subtract(x, self.reference[k], out=scratch)
             np.square(scratch, out=scratch)
@@ -346,14 +363,21 @@ def simulate_lanes(
                 phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
                 incr += dt * _matvec(sig, phi_k)
             if spec.has_jumps:
-                # the compensator, atom by atom into the free noise buffer
-                atoms, masses = spec.intensity.atoms, spec.intensity.masses
-                np.multiply(spec.jump_rows(t_k, x, law, atoms[0]), masses[0], out=noise)
-                for z, mass in zip(atoms[1:], masses[1:]):
-                    noise += spec.jump_rows(t_k, x, law, z) * mass
-                noise *= dt
-                incr -= noise
-                noise_scale = None
+                # the compensator, atom by atom: one (d,) row while every G
+                # so far is one row (stride 0), else into the free noise buffer
+                comp = None
+                for z, mass in zip(spec.intensity.atoms, spec.intensity.masses):
+                    g = spec.jump_rows(t_k, x, law, z)
+                    if g.strides[0] == 0 and (comp is None or comp.ndim == 1):
+                        comp = g[0] * mass if comp is None else comp + g[0] * mass
+                    elif comp is None:
+                        comp = np.multiply(g, mass, out=noise)
+                    else:
+                        comp = np.add(comp, g * mass, out=noise)
+                comp *= dt
+                incr -= comp
+                if comp is noise:
+                    noise_scale = None
                 jumps = thin_step(proposal, thin_psi[i][k])
                 n_jumps[i] += jumps[0].size
                 movers, moved = _apply_jumps(*jumps, x, incr, law, spec, lanes[i].eps)
@@ -370,7 +394,7 @@ def simulate_lanes(
             "rate_scale": 1.0 / lane.eps,
             "n_jumps": int(jumps),
             "n_proposed": int(n_proposed),
-        })
+        }, rec.means)
         for lane, x, rec, src, jumps, notes in zip(lanes, xs, recs, sources, n_jumps, warnings)
     ]
 
@@ -496,6 +520,9 @@ def _moderate_lane(
         if ens.paths is not None:
             ens.paths -= xbar[:, None, :]
             ens.paths /= a
+        if ens.means is not None:
+            ens.means -= xbar
+            ens.means /= a
         if ens.sup_sq is not None:
             ens.sup_sq /= a**2
         ens.terminal = (ens.terminal - xbar[-1]) / a

@@ -2,7 +2,11 @@
 
 Coefficient conventions: drift(t, x, law) -> (n, d) with x an (n, d) state
 batch and t a scalar or (n,) array; diffusion returns a (d, d) matrix (or an
-(n, d, d) batch); jump(t, x, law, z) -> (n, d) for one mark atom z. Laws
+(n, d, d) batch); jump(t, x, law, z) -> (n, d) for one mark atom z. A drift
+or jump that does not read x may return one (d,) row instead:
+ModelSpec.drift_rows and jump_rows broadcast it to every particle as a view,
+and the particle engine then works on that one row, not on an (n, d) array
+(pure_jump does this). Laws
 arrive as LawSummary; models should read law.mean (broadcast against x) and
 law.cloud only if they truly need atoms: the skeletons and the rates freeze
 the law as one point mass per row, which has no cloud, and refuse them.
@@ -74,13 +78,13 @@ def _pure_jump() -> ModelSpec:
     """Compensated unit jumps at unit intensity, no drift, no diffusion."""
 
     def drift(t, x, law):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros(1)
 
     def diffusion(t, x, law):
         return np.zeros((1, 1))
 
     def jump(t, x, law, z):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return np.ones(1)
 
     return ModelSpec(
         name="pure_jump",

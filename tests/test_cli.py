@@ -238,8 +238,8 @@ def test_report_commands_share_one_exit(runner, tmp_path, args, code):
     assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
-@pytest.mark.parametrize("mean_out, record", [(False, "summary"), (True, "full")])
-def test_simulate_keeps_full_paths_only_for_mean_out(
+@pytest.mark.parametrize("mean_out, record", [(False, "summary"), (True, "mean")])
+def test_simulate_keeps_node_means_only_for_mean_out(
     runner, tmp_path, monkeypatch, mean_out, record
 ):
     seen = []

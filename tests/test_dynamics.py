@@ -334,6 +334,44 @@ def test_mean_path(example11):
         simulate_mvsde(example11, grid, 0.01, 30, seed=1, record="summary").mean_path()
 
 
+# README's model file: two mark atoms, a jump G = mark_matrix z that does not
+# read x
+README_MODEL = {
+    "name": "affine_demo", "dim": 2, "initial": [1.0, 0.0],
+    "drift": {"const": [0, 0], "linear_x": [[0, 1], [0, 0]],
+              "linear_mean": [[0.5, 0], [0, 0.5]]},
+    "diffusion": {"const": [[0.3, 0], [0, 0.3]]},
+    "jump": {"mark_matrix": [[1.0], [0.0]]},
+    "intensity": {"atoms": [[0.5], [-0.5]], "masses": [1.0, 2.0]},
+}
+
+
+def _readme_model(tmp_path):
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(README_MODEL))
+    return load_model_file(path)
+
+
+@pytest.mark.parametrize("name", ["example11", "readme"])
+def test_mean_record_matches_full(name, tmp_path):
+    # record="mean" keeps each node's cloud mean, (n_nodes, d) floats, and
+    # gives the bits that the full (n_nodes, N, d) record averages to
+    spec = _readme_model(tmp_path) if name == "readme" else get_model(name)
+    grid = make_time_grid(1.0, 40)
+    full = simulate_mvsde(spec, grid, 0.05, 5001, seed=8)
+    light = simulate_mvsde(spec, grid, 0.05, 5001, seed=8, record="mean")
+    assert light.paths is None and light.means.shape == (41, spec.dim)
+    np.testing.assert_array_equal(light.terminal, full.terminal)
+    np.testing.assert_array_equal(light.mean_path(), full.mean_path())
+    # in fluctuation coordinates the means are mapped as the paths are
+    ctl = null_mdp_control(grid, spec.dim, spec.n_mark_cells)
+    runs = [
+        simulate_mdp_controlled(spec, grid, 0.01, 0.3, ctl, 500, seed=8, record=record)
+        for record in ("mean", "full")
+    ]
+    np.testing.assert_allclose(runs[0].mean_path(), runs[1].mean_path(), rtol=0, atol=1e-12)
+
+
 def test_ladder_rungs_equal_their_solo_runs(example11, logistic):
     # one lane per eps over one Brownian draw per step: without jumps every
     # rung is bit-identical to its solo run; with jumps the rung at the
@@ -663,3 +701,73 @@ def test_lanes_that_no_lane_reads_move_first(example11, monkeypatch):
         simulate_lanes(example11, grid, lanes, 5, seed=0)
         recs = [rec for k, rec in calls if k == 0]  # created in lane order
         assert [recs.index(rec) for k, rec in calls if k == 1] == order
+
+
+def test_law_means_are_taken_only_when_read(monkeypatch):
+    # an empirical law takes its mean on first read: never on pure_jump,
+    # whose coefficients do not read the law, once per law cloud and step on
+    # the demo's lanes (clouds 0 and 2) and on an example11 ladder (3 clouds)
+    n_particles, n_steps = 200, 30
+    calls = []
+    mean = np.mean
+
+    def counting_mean(a, *args, **kwargs):
+        calls.append(np.shape(a) == (n_particles, 1))
+        return mean(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "mean", counting_mean)
+    grid = make_time_grid(1.0, n_steps)
+    ctl = Control(grid, np.ones((n_steps, 1)), np.ones((n_steps, 0)))
+    cases = (
+        ("pure_jump", [Lane(eps) for eps in (0.2, 0.1, 0.05)]),
+        ("example11", [Lane(0.01), Lane(0.01, ctl, 0), Lane(0.01, ctl, "self")]),
+        ("example11", [Lane(eps) for eps in (0.2, 0.1, 0.05)]),
+    )
+    counts = []
+    for name, lanes in cases:
+        calls.clear()
+        simulate_lanes(get_model(name), grid, lanes, n_particles, seed=4)
+        counts.append(sum(calls))
+    assert counts == [0, 2 * n_steps, 3 * n_steps]
+
+
+def _compensator_case(name, tmp_path):
+    """A model and lanes whose compensator is one row (pure_jump, README's
+    model), the (N, d) atom loop (README's model with a jump that reads x) or
+    one row that the second atom turns into the loop (mixed); the equal-eps
+    lanes 1 and 2 reuse one scaled noise unless the compensator takes its
+    buffer."""
+    spec = get_model(name) if name == "pure_jump" else _readme_model(tmp_path)
+    if name in ("reads_x", "mixed"):
+        def jump(t, x, law, z):
+            if name == "mixed" and z[0] > 0:
+                return np.array([z[0], 0.0])
+            return float(z[0]) * (1.0 - 0.5 * np.tanh(x))
+
+        spec = dataclasses.replace(spec, jump=jump)
+    grid = make_time_grid(1.0, 100)
+    d, c = spec.dim, spec.n_mark_cells
+    ctl = Control(grid, np.full((100, d), 0.5), np.full((100, c), 1.5), psi_bounds=(1.0, 1.5))
+    lanes = [Lane(0.1), Lane(0.1, ctl, 0), Lane(0.1, ctl, "self"), Lane(0.05)]
+    return spec, grid, lanes
+
+
+# sha256 of the terminal clouds of _compensator_case, taken when every
+# compensator was summed atom by atom over the whole cloud
+COMPENSATOR_SHA256 = {
+    "mixed": "4069e7c7750cefd4cb850a0ac28d4a0401f1884db474f53786557c8221446d2a",
+    "pure_jump": "b3f7054306dc4a27a893e6dc105c4305f2f3043f89478e2ceb4f5bd55ca2a796",
+    "readme": "ffb4047e88ca6afedaef161150aea3ccb6cb4234278adc8d103785326c0d6bcc",
+    "reads_x": "9bfb35ca63d6e54a578e8088cd05891a45e92d91a1f443b857739cf27878a973",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPENSATOR_SHA256))
+def test_one_row_compensator_keeps_the_bits(name, tmp_path):
+    spec, grid, lanes = _compensator_case(name, tmp_path)
+    x = np.zeros((3, spec.dim))
+    one_row = spec.jump_rows(0.0, x, LawSummary.empirical(x), spec.intensity.atoms[0])
+    assert (one_row.strides[0] == 0) == (name != "reads_x")  # the first atom's G
+    rungs = simulate_lanes(spec, grid, lanes, 2000, seed=13)
+    assert all(r.meta["n_jumps"] > 0 for r in rungs)
+    assert _lanes_sha256(rungs) == COMPENSATOR_SHA256[name]

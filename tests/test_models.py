@@ -34,8 +34,9 @@ def test_logistic_structure(logistic):
 def test_pure_jump_shapes(pure_jump):
     t = 0.0
     x = np.zeros((4, 1))
-    g = pure_jump.jump(t, x, None, np.array([1.0]))
+    g = pure_jump.jump_rows(t, x, None, np.array([1.0]))
     np.testing.assert_allclose(g, np.ones((4, 1)))
+    np.testing.assert_allclose(pure_jump.drift_rows(t, x, None), np.zeros((4, 1)))
 
 
 def test_json_model_roundtrip(tmp_path):
