@@ -20,6 +20,15 @@ without jumps; the others are equal in law. The Brownian increment is drawn
 only when some lane's sigma is not identically zero at that step; otherwise
 the Brownian substream is left untouched.
 
+The increment's standard normals come in one raw (N, d) block per noisy
+step, scaled by sqrt(dt) at that step. A block of at least _READ_AHEAD_MIN
+normals is read ahead by one worker thread per call (_ReadAhead) while the
+lanes move, into one extra (N, d) block; the blocks and their order are
+those of drawing each block inline at its step, so no bit changes. Smaller
+blocks are drawn inline, and a run whose sigma is zero at every step starts
+no thread. The worker stops before simulate_lanes returns or raises, and a
+draw that fails on it raises on the caller.
+
 Per step k, with the law frozen at the left endpoint:
 
     X <- X + dt * b                 (drift)
@@ -74,6 +83,8 @@ A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import threading
+
 import numpy as np
 
 from .core import (
@@ -105,6 +116,17 @@ __all__ = [
 
 # Lower bound on the moderate lane's jump tilt psi = 1 + a tilt.
 _PSI_FLOOR = 1e-3
+
+# Fewest normals (N * d) per block that a worker thread reads ahead; smaller
+# blocks are drawn inline, since handing a block between threads then costs
+# more than drawing it. Set at the measured crossover: example11, 3 lanes,
+# 400 steps, 2 vCPUs, medians of 11 in-process runs per pass, read-ahead
+# against inline: +16 to +28 ms at N = 3,000 to 5,000 (all passes), -10 to
+# +7 % at N = 6,000 (mixed), -1 to -7 % at N = 6,500 (4 of 4 passes),
+# -2 to -17 % at N = 8,192 and -18 to -20 % at N = 10,000. Every benchmark
+# workload that draws normals is above it (N = 1e5), so only these
+# in-process runs exercise the inline side.
+_READ_AHEAD_MIN = 6500
 
 
 @dataclass
@@ -262,6 +284,68 @@ def _apply_jumps(streams, times, cells, ranks, x, incr, law, spec, eps):
     return movers, moved
 
 
+class _ReadAhead:
+    """The Brownian generator's standard normals, one (N, d) block per noisy
+    step, in the generator's own order. When a block holds at least
+    _READ_AHEAD_MIN normals, one worker thread draws the block after the one
+    handed out into a spare block while the caller moves the lanes; the
+    worker starts at the first block read ahead. Use it as a context
+    manager: leaving the with statement stops the worker."""
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._spare = None  # the block the worker draws into
+        self._worker = None
+        self._pending = False  # the worker holds or draws the next block
+        self._error = None
+        self._closed = False
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+
+    def next_into(self, buf: np.ndarray, more: bool) -> np.ndarray:
+        """The next block: buf filled inline, or the block read ahead, which
+        takes the place of buf (buf becomes the spare). When more is true,
+        the worker starts drawing the block after."""
+        if self._pending:
+            self._done.acquire()
+            self._pending = False
+            if self._error is not None:
+                raise self._error
+            buf, self._spare = self._spare, buf
+        else:
+            self._gen.standard_normal(out=buf)
+        if more and buf.size >= _READ_AHEAD_MIN:
+            if self._worker is None:
+                self._spare = np.empty_like(buf)
+                self._worker = threading.Thread(
+                    target=self._draw, name="mvsde-read-ahead", daemon=True
+                )
+                self._worker.start()
+            self._pending = True
+            self._go.release()
+        return buf
+
+    def _draw(self):
+        while True:
+            self._go.acquire()
+            if self._closed:
+                return
+            try:
+                self._gen.standard_normal(out=self._spare)
+            except BaseException as exc:  # re-raised on the caller
+                self._error = exc
+            self._done.release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._worker is not None:
+            self._closed = True
+            self._go.release()
+            self._worker.join()
+
+
 def simulate_lanes(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -305,7 +389,8 @@ def simulate_lanes(
     ]
     # step buffers shared by all lanes: the Brownian increment (or sigma dW
     # when every lane has the same constant sigma), one lane's increment (then
-    # the recorders' scratch) and its sqrt(eps) sigma dW (then the compensator's)
+    # the recorders' scratch) and its sqrt(eps) sigma dW (then the compensator's);
+    # the read-ahead swaps its spare block in for dw
     dw, incr, noise = (np.empty((big_n, d)) for _ in range(3))
     xs = [np.tile(spec.initial, (big_n, 1)) for _ in lanes]
     for rec, x in zip(recs, xs):
@@ -315,77 +400,79 @@ def simulate_lanes(
     # a law source moves after every lane that reads it
     order = [i for i in range(len(lanes)) if i not in law_sources] + sorted(law_sources)
 
-    for k in range(n):
-        t_k = float(grid.nodes[k])
-        dt = float(grid.dt[k])
-        # every lane reads its law at the left endpoint: no cloud moves until
-        # every coefficient call that can read it is done
-        empirical = {c: LawSummary.empirical(xs[c]) for c in read_clouds}
-        laws = [src(k) if c is None else empirical[c] for src, c in zip(sources, clouds)]
-        sigs = [spec.diffusion(t_k, x, law) for x, law in zip(xs, laws)]
-        noisy = [bool(np.any(sig)) for sig in sigs]
-        if any(noisy):
-            sb.brownian.standard_normal(out=dw)
-            dw *= np.sqrt(dt)
-        shared_sig = (
-            noisy[0]
-            and np.ndim(sigs[0]) == 2
-            and all(np.array_equal(sig, sigs[0]) for sig in sigs[1:])
-        )
-        if shared_sig:
-            # sigma dW into the noise buffer, which stands in for dW this step
-            _matvec(sigs[0], dw, out=noise)
-            dw, noise = noise, dw
-        noise_scale = None  # the sqrt(eps) that noise holds sigma dW at
-        if spec.has_jumps:
-            proposal = propose_step(spec.intensity, 1.0 / eps_ref, t_k, dt, hi, big_n, sb.jumps)
-            n_proposed += proposal[0].size
-        for i in order:
-            x, law, sig, ctl = xs[i], laws[i], sigs[i], controls[i]
-            if noisy[i] and not shared_sig:
-                _matvec(sig, dw, out=noise)
-                noise *= sqrt_eps[i]
-            elif noisy[i] and noise_scale != sqrt_eps[i]:
-                np.multiply(dw, sqrt_eps[i], out=noise)
-                noise_scale = sqrt_eps[i]
-            drift = spec.drift_rows(t_k, x, law)
-            if noisy[i] and drift.strides[0] == 0:
-                # a law-only drift: scale its one row and add it in the noise
-                # pass, the same bits as dt * b + noise
-                np.add(noise, dt * drift[0], out=incr)
-            else:
-                np.multiply(dt, drift, out=incr)
-                if noisy[i]:
-                    incr += noise
-            if phi_active[i]:
-                # a (d, d) sigma gives one (1, d) row sigma phi_k for all particles
-                row = ctl.phi[k][None]
-                phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
-                incr += dt * _matvec(sig, phi_k)
+    dts = grid.dt
+    with _ReadAhead(sb.brownian) as normals:
+        for k in range(n):
+            t_k = float(grid.nodes[k])
+            dt = float(dts[k])
+            # every lane reads its law at the left endpoint: no cloud moves until
+            # every coefficient call that can read it is done
+            empirical = {c: LawSummary.empirical(xs[c]) for c in read_clouds}
+            laws = [src(k) if c is None else empirical[c] for src, c in zip(sources, clouds)]
+            sigs = [spec.diffusion(t_k, x, law) for x, law in zip(xs, laws)]
+            noisy = [bool(np.any(sig)) for sig in sigs]
+            if any(noisy):
+                dw = normals.next_into(dw, k + 1 < n)
+                dw *= np.sqrt(dt)
+            shared_sig = (
+                noisy[0]
+                and np.ndim(sigs[0]) == 2
+                and all(np.array_equal(sig, sigs[0]) for sig in sigs[1:])
+            )
+            if shared_sig:
+                # sigma dW into the noise buffer, which stands in for dW this step
+                _matvec(sigs[0], dw, out=noise)
+                dw, noise = noise, dw
+            noise_scale = None  # the sqrt(eps) that noise holds sigma dW at
             if spec.has_jumps:
-                # the compensator, atom by atom: one (d,) row while every G
-                # so far is one row (stride 0), else into the free noise buffer
-                comp = None
-                for z, mass in zip(spec.intensity.atoms, spec.intensity.masses):
-                    g = spec.jump_rows(t_k, x, law, z)
-                    if g.strides[0] == 0 and (comp is None or comp.ndim == 1):
-                        comp = g[0] * mass if comp is None else comp + g[0] * mass
-                    elif comp is None:
-                        comp = np.multiply(g, mass, out=noise)
-                    else:
-                        comp = np.add(comp, g * mass, out=noise)
-                comp *= dt
-                incr -= comp
-                if comp is noise:
-                    noise_scale = None
-                jumps = thin_step(proposal, thin_psi[i][k])
-                n_jumps[i] += jumps[0].size
-                movers, moved = _apply_jumps(*jumps, x, incr, law, spec, lanes[i].eps)
-            x += incr
-            if spec.has_jumps:
-                x[movers] = moved
-            _guard(x, k, "particle system")
-            recs[i].record(k + 1, x, incr)
+                proposal = propose_step(spec.intensity, 1.0 / eps_ref, t_k, dt, hi, big_n, sb.jumps)
+                n_proposed += proposal[0].size
+            for i in order:
+                x, law, sig, ctl = xs[i], laws[i], sigs[i], controls[i]
+                if noisy[i] and not shared_sig:
+                    _matvec(sig, dw, out=noise)
+                    noise *= sqrt_eps[i]
+                elif noisy[i] and noise_scale != sqrt_eps[i]:
+                    np.multiply(dw, sqrt_eps[i], out=noise)
+                    noise_scale = sqrt_eps[i]
+                drift = spec.drift_rows(t_k, x, law)
+                if noisy[i] and drift.strides[0] == 0:
+                    # a law-only drift: scale its one row and add it in the noise
+                    # pass, the same bits as dt * b + noise
+                    np.add(noise, dt * drift[0], out=incr)
+                else:
+                    np.multiply(dt, drift, out=incr)
+                    if noisy[i]:
+                        incr += noise
+                if phi_active[i]:
+                    # a (d, d) sigma gives one (1, d) row sigma phi_k for all particles
+                    row = ctl.phi[k][None]
+                    phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
+                    incr += dt * _matvec(sig, phi_k)
+                if spec.has_jumps:
+                    # the compensator, atom by atom: one (d,) row while every G
+                    # so far is one row (stride 0), else into the free noise buffer
+                    comp = None
+                    for z, mass in zip(spec.intensity.atoms, spec.intensity.masses):
+                        g = spec.jump_rows(t_k, x, law, z)
+                        if g.strides[0] == 0 and (comp is None or comp.ndim == 1):
+                            comp = g[0] * mass if comp is None else comp + g[0] * mass
+                        elif comp is None:
+                            comp = np.multiply(g, mass, out=noise)
+                        else:
+                            comp = np.add(comp, g * mass, out=noise)
+                    comp *= dt
+                    incr -= comp
+                    if comp is noise:
+                        noise_scale = None
+                    jumps = thin_step(proposal, thin_psi[i][k])
+                    n_jumps[i] += jumps[0].size
+                    movers, moved = _apply_jumps(*jumps, x, incr, law, spec, lanes[i].eps)
+                x += incr
+                if spec.has_jumps:
+                    x[movers] = moved
+                _guard(x, k, "particle system")
+                recs[i].record(k + 1, x, incr)
 
     return [
         ParticleEnsemble(grid, lane.eps, big_n, d, int(seed), "state", x, rec.paths, rec.sup_sq, {
@@ -466,8 +553,9 @@ def _euler_limit_path(spec: ModelSpec, grid: TimeGrid) -> np.ndarray:
     would be divided by a and bias M."""
     xbar = np.empty((grid.n_steps + 1, spec.dim))
     xbar[0] = spec.initial
+    dts = grid.dt
     for k in range(grid.n_steps):
-        xbar[k + 1] = xbar[k] + grid.dt[k] * _field(spec, float(grid.nodes[k]), xbar[k])
+        xbar[k + 1] = xbar[k] + dts[k] * _field(spec, float(grid.nodes[k]), xbar[k])
         _guard(xbar[k + 1], k)
     return xbar
 

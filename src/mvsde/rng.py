@@ -16,7 +16,11 @@ proposal set at the run's rate bound, sorted once, that each lane masks
 with its own psi and eps. A lane is bit-identical to its solo run when its
 rate bound is the run's, otherwise equal in law. Brownian increments are
 drawn only at steps where some lane's diffusion is not identically zero,
-so a model with sigma = 0 leaves the Brownian substream untouched.
+so a model with sigma = 0 leaves the Brownian substream untouched. A run
+whose blocks reach dynamics._READ_AHEAD_MIN normals draws the next step's
+block on a worker thread while the lanes move (dynamics._ReadAhead): the
+same blocks, in the same order, from the same generator, so no draw
+changes.
 """
 from __future__ import annotations
 

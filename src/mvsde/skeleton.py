@@ -82,8 +82,9 @@ def solve_limit_ode(spec: ModelSpec, grid: TimeGrid) -> Path:
     x = spec.initial.copy()
     nodes = np.empty((n + 1, d))
     nodes[0] = x
+    dts = grid.dt
     for k in range(n):
-        t0, dt = float(grid.nodes[k]), float(grid.dt[k])
+        t0, dt = float(grid.nodes[k]), float(dts[k])
         for half in range(2):
             ta = t0 + 0.5 * dt * half
             h = 0.5 * dt

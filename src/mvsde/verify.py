@@ -25,10 +25,14 @@ when its rate bound is the ladder's (every rung without jumps, the
 smallest-eps rung with them). check_controlled_convergence runs 2k lanes
 for k rungs: the plain lanes, then one frozen-law lane per rung that reads
 the plain lane of its eps by index. The ladders accept jobs (an integer
->= 1) but do not use it: one simulation over all the rungs draws each
-step's increments once, while splitting the rungs into thread groups that
-each draw them again cost 8.6 % more peak memory for 9 % less wall time
-(3-rung ladder, N = 1e5, 2 vCPUs).
+>= 1) but do not use it, and it changes neither the work nor any result:
+one simulation over all the rungs draws each step's increments once, while
+splitting the rungs into thread groups that each draw them again cost
+8.6 % more peak memory for 9 % less wall time (3-rung ladder, N = 1e5,
+2 vCPUs). The second core serves the simulation itself instead: a worker
+thread draws the next step's Brownian block while the rungs move, the
+same blocks in the same order, for one extra (N, d) block; blocks below
+dynamics._READ_AHEAD_MIN normals are drawn inline.
 
 The limit check's terminal W2 distance to the point mass at xbar(T) is the
 closed form sqrt(mean_i |X_i(T) - xbar(T)|^2): every coupling costs the same.

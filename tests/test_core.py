@@ -16,6 +16,7 @@ from mvsde.dynamics import Lane, simulate_lanes, simulate_mdp_controlled
 from mvsde.errors import (
     GridMismatchError, InvalidArgumentError, InvalidControlError, UnsupportedError,
 )
+from mvsde.models import get_model
 from mvsde.rng import SeedBlock, derive_seed
 from mvsde.skeleton import solve_ldp_skeleton, solve_mdp_skeleton
 
@@ -26,6 +27,24 @@ def test_time_grid_basics():
     assert grid.horizon == pytest.approx(2.0)
     assert grid.nodes[0] == 0.0
     np.testing.assert_allclose(grid.dt, 0.25)
+
+
+def test_coefficient_rows_broadcast_one_row_and_reject_wrong_shapes():
+    x = np.linspace(0.0, 1.0, 5)[:, None]
+    law = LawSummary.empirical(x)
+    full = get_model("linear_gaussian").drift_rows(0.0, x, law)
+    assert full.shape == x.shape and not full.flags.writeable
+    row = get_model("pure_jump").drift_rows(0.0, x, law)
+    assert row.shape == x.shape and row.strides[0] == 0
+    wrong = ModelSpec(
+        name="wrong_rows",
+        dim=1,
+        initial=np.zeros(1),
+        drift=lambda t, x, law: np.zeros((x.shape[0] + 1, 1)),
+        diffusion=lambda t, x, law: np.eye(1),
+    )
+    with pytest.raises(ValueError):
+        wrong.drift_rows(0.0, x, law)
 
 
 def test_time_grid_rejects_bad_nodes():

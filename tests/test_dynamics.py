@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -771,3 +772,121 @@ def test_one_row_compensator_keeps_the_bits(name, tmp_path):
     rungs = simulate_lanes(spec, grid, lanes, 2000, seed=13)
     assert all(r.meta["n_jumps"] > 0 for r in rungs)
     assert _lanes_sha256(rungs) == COMPENSATOR_SHA256[name]
+
+
+def _switching_sigma_model():
+    """sigma = 0 on the first 3 of 40 steps and on every step k with
+    k mod 3 = 1, 0.7 otherwise: noisy steps follow quiet ones at every gap."""
+
+    def diffusion(t, x, law):
+        k = int(round(t * 40))
+        return np.array([[0.0 if k < 3 or k % 3 == 1 else 0.7]])
+
+    return ModelSpec(
+        name="switching_sigma",
+        dim=1,
+        initial=np.array([0.5]),
+        drift=lambda t, x, law: np.sin(x) - 0.5 * law.mean,
+        diffusion=diffusion,
+    )
+
+
+# enough particles for a worker thread to read the Brownian blocks ahead
+# (test_read_ahead_starts_one_worker_per_call checks that it does)
+READ_AHEAD_N = 10_000
+
+# sha256 of the terminal clouds of two lanes (eps 0.2 and 0.05) over 40 steps
+# at READ_AHEAD_N particles, taken when every block was drawn inline at its
+# own step
+READ_AHEAD_SHA256 = {
+    "switching_sigma": "7aa5dbf1132d5502617e744dd8f60bd754b69d2590ea7f03e7cfcc3429543ecd",
+    "logistic_mf": "4343cc862ac8da317591049d150f146dd9ac9198c2579124299d70237c400ca7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_AHEAD_SHA256))
+def test_read_ahead_keeps_the_bits(name):
+    spec = _switching_sigma_model() if name == "switching_sigma" else get_model(name)
+    lanes = [Lane(0.2), Lane(0.05)]
+    rungs = simulate_lanes(spec, make_time_grid(1.0, 40), lanes, READ_AHEAD_N, seed=5)
+    assert _lanes_sha256(rungs) == READ_AHEAD_SHA256[name]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+@pytest.mark.parametrize("model, n_particles, expected", [
+    ("example11", READ_AHEAD_N, 1),
+    ("pure_jump", READ_AHEAD_N, 0),  # sigma = 0: no normals are drawn
+    ("example11", 300, 0),  # small blocks are drawn inline
+])
+def test_read_ahead_starts_one_worker_per_call(model, n_particles, expected, workers):
+    # imported here, so the bit pins above also run on an engine without read-ahead
+    from mvsde.dynamics import _READ_AHEAD_MIN
+
+    assert READ_AHEAD_N >= _READ_AHEAD_MIN > 300
+    before = threading.active_count()
+    lanes = [Lane(0.2), Lane(0.1), Lane(0.05)]
+    simulate_lanes(get_model(model), make_time_grid(1.0, 10), lanes, n_particles, seed=1)
+    assert len(workers) == expected
+    assert threading.active_count() == before
+
+
+def test_divergence_stops_the_worker(workers):
+    blowup = ModelSpec(
+        name="blowup",
+        dim=1,
+        initial=np.array([1.0]),
+        drift=lambda t, x, law: 1e3 * x**2,
+        diffusion=lambda t, x, law: np.eye(1),
+    )
+    before = threading.active_count()
+    with pytest.raises(DivergenceError):
+        simulate_mvsde(blowup, make_time_grid(1.0, 40), 0.1, READ_AHEAD_N, seed=0)
+    assert len(workers) == 1
+    assert threading.active_count() == before
+
+
+def test_a_failed_draw_reaches_the_caller(example11, monkeypatch):
+    # the second block is the first one read ahead, so it fails on the worker
+    import mvsde.dynamics as dynamics
+
+    failed_on = []
+
+    class FailingDraws:
+        def __init__(self, gen):
+            self.gen, self.calls = gen, 0
+
+        def standard_normal(self, out):
+            self.calls += 1
+            if self.calls == 2:
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("draw failed")
+            return self.gen.standard_normal(out=out)
+
+    seed_block = dynamics.SeedBlock
+
+    class FailingSeedBlock:
+        @staticmethod
+        def from_seed(seed):
+            block = seed_block.from_seed(seed)
+            block.brownian = FailingDraws(block.brownian)
+            return block
+
+    monkeypatch.setattr(dynamics, "SeedBlock", FailingSeedBlock)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        simulate_mvsde(example11, make_time_grid(1.0, 40), 0.1, READ_AHEAD_N, seed=0)
+    assert failed_on and failed_on[0] is not threading.main_thread()
+    assert threading.active_count() == before
