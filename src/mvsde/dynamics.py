@@ -50,9 +50,15 @@ step's jumps, not the horizon's. The compensator is summed atom by atom;
 with three or more mark atoms its last bit can differ from an einsum's.
 While every atom's G has its rows all equal (a (d,) value, or a view with
 row stride 0, as pure_jump and the JSON models give) it is summed as one
-(d,) row, fl(fl(sum_j fl(G_j m_j)) dt), and subtracted from every particle:
-the same bits as the (N, d) atom loop, for one pass over the cloud instead
-of three.
+(d,) row, fl(fl(sum_j fl(G_j m_j)) dt): the same bits as the (N, d) atom
+loop.
+
+The step's increment stays one (d,) row while every term so far is a row
+(a drift with rows all equal, sigma phi_k from a (d, d) sigma, a one-row
+compensator); the first per-particle term joins it in the increment buffer
+as row + term, and the cloud moves by X += increment. Each value keeps its
+operations and their order, so no bit changes, and a lane of row terms only
+(pure_jump) moves in one pass over the cloud.
 Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
@@ -63,14 +69,12 @@ lane that reads lane j reuses lane j's), whose mean is taken on its first
 read, so a step whose coefficients never read law.mean takes none (the
 move-order rule above makes that read see the left-endpoint cloud); sigma
 dW once, in the place of dW, when every lane's sigma is the same constant
-(d, d) matrix (a state-dependent (n, d, d) sigma stays per lane); its
-sqrt(eps) scaling once per run of lanes of one eps; and a law-only drift
-(rows all equal: a (d,) value, or a view with row stride 0) scaled as one
-row and added in the noise pass, fl(n + fl(dt b)) = fl(fl(dt b) + n). The
-scaled noise stays valid across lanes until a buffer takes it as scratch:
-an (N, d) compensator does, and invalidates it (a one-row compensator does
-not); the recorder takes the increment buffer instead, which is free once
-the cloud has moved.
+(d, d) matrix (a state-dependent (n, d, d) sigma stays per lane); and its
+sqrt(eps) scaling once per run of lanes of one eps. The scaled noise stays
+valid across lanes until a buffer takes it as scratch: an (N, d)
+compensator does, and invalidates it (a one-row compensator does not); the
+recorder takes the increment buffer instead, which is free once the cloud
+has moved.
 
 The moderate lane is the same engine read in fluctuation coordinates
 M = (X - xbar) / a (_moderate_lane). Under the null control it runs the
@@ -258,10 +262,17 @@ def _check_eps(eps: float, warnings: list):
         )
 
 
+def _join(op, inc, term, out):
+    """op(inc, term) for a step increment inc: one (d,) row while inc and
+    term are rows, else into the (N, d) buffer out (which inc may be)."""
+    return op(inc, term) if inc.ndim == term.ndim == 1 else op(inc, term, out=out)
+
+
 def _apply_jumps(streams, times, cells, ranks, x, incr, law, spec, eps):
     """Apply one step's accepted jumps, given in (stream, time) order, in
     per-particle time order to the post-drift states x + incr of the
-    particles that jump. The jump coefficients run on a gathered copy, so x
+    particles that jump; incr is the (N, d) increment or one (d,) row for
+    every particle. The jump coefficients run on a gathered copy, so x
     (which law.cloud may be) keeps the step's left endpoint; returns the
     jumping particles and their end-of-step states."""
     # rank 0 holds every jumping particle once, in stream order, and a
@@ -269,14 +280,16 @@ def _apply_jumps(streams, times, cells, ranks, x, incr, law, spec, eps):
     head = np.append(ranks == 0, True)
     now = np.flatnonzero(head[:-1])
     movers = streams[now]
-    moved = np.take(x, movers, axis=0) + np.take(incr, movers, axis=0)
+    moved = np.take(x, movers, axis=0)
+    moved += incr if incr.ndim == 1 else np.take(incr, movers, axis=0)
     slot = np.arange(movers.size)
     while now.size:
         cells_now = cells[now]
         present = np.flatnonzero(np.bincount(cells_now))
         for j in present:
             sel = slice(None) if present.size == 1 else np.flatnonzero(cells_now == j)
-            at = slot[sel]
+            # while slot is every mover (rank 0), one present cell adds in place
+            at = sel if now.size == movers.size else slot[sel]
             g = spec.jump_rows(times[now[sel]], moved[at], law, spec.intensity.atoms[j])
             moved[at] += eps * g
         more = np.flatnonzero(~head[now + 1])
@@ -435,20 +448,17 @@ def simulate_lanes(
                 elif noisy[i] and noise_scale != sqrt_eps[i]:
                     np.multiply(dw, sqrt_eps[i], out=noise)
                     noise_scale = sqrt_eps[i]
+                # one (d,) row until a per-particle term joins it (module docstring)
                 drift = spec.drift_rows(t_k, x, law)
-                if noisy[i] and drift.strides[0] == 0:
-                    # a law-only drift: scale its one row and add it in the noise
-                    # pass, the same bits as dt * b + noise
-                    np.add(noise, dt * drift[0], out=incr)
-                else:
-                    np.multiply(dt, drift, out=incr)
-                    if noisy[i]:
-                        incr += noise
+                inc = dt * drift[0] if drift.strides[0] == 0 else np.multiply(dt, drift, out=incr)
+                if noisy[i]:
+                    inc = _join(np.add, inc, noise, incr)
                 if phi_active[i]:
                     # a (d, d) sigma gives one (1, d) row sigma phi_k for all particles
+                    one = np.ndim(sig) == 2
                     row = ctl.phi[k][None]
-                    phi_k = row if np.ndim(sig) == 2 else np.broadcast_to(row, (big_n, d))
-                    incr += dt * _matvec(sig, phi_k)
+                    sig_phi = dt * _matvec(sig, row if one else np.broadcast_to(row, (big_n, d)))
+                    inc = _join(np.add, inc, sig_phi[0] if one else sig_phi, incr)
                 if spec.has_jumps:
                     # the compensator, atom by atom: one (d,) row while every G
                     # so far is one row (stride 0), else into the free noise buffer
@@ -462,13 +472,13 @@ def simulate_lanes(
                         else:
                             comp = np.add(comp, g * mass, out=noise)
                     comp *= dt
-                    incr -= comp
+                    inc = _join(np.subtract, inc, comp, incr)
                     if comp is noise:
                         noise_scale = None
                     jumps = thin_step(proposal, thin_psi[i][k])
                     n_jumps[i] += jumps[0].size
-                    movers, moved = _apply_jumps(*jumps, x, incr, law, spec, lanes[i].eps)
-                x += incr
+                    movers, moved = _apply_jumps(*jumps, x, inc, law, spec, lanes[i].eps)
+                x += inc
                 if spec.has_jumps:
                     x[movers] = moved
                 _guard(x, k, "particle system")

@@ -3,13 +3,13 @@
 Coefficient conventions: drift(t, x, law) -> (n, d) with x an (n, d) state
 batch and t a scalar or (n,) array; diffusion returns a (d, d) matrix (or an
 (n, d, d) batch); jump(t, x, law, z) -> (n, d) for one mark atom z. A drift
-or jump that does not read x may return one (d,) row instead:
-ModelSpec.drift_rows and jump_rows broadcast it to every particle as a view,
-and the particle engine then works on that one row, not on an (n, d) array
-(pure_jump does this). Laws
-arrive as LawSummary; models should read law.mean (broadcast against x) and
-law.cloud only if they truly need atoms: the skeletons and the rates freeze
-the law as one point mass per row, which has no cloud, and refuse them.
+or jump that does not read x may return one (d,) row instead: drift_rows and
+jump_rows broadcast it to every particle as a read-only view of row stride
+0, and the particle engine keeps the step's increment as one row until a
+per-particle term joins it (pure_jump has none). Laws arrive as LawSummary;
+models should read law.mean (broadcast against x) and law.cloud only if they
+truly need atoms: the skeletons and the rates freeze the law as one point
+mass per row, which has no cloud, and refuse them.
 
 No model supplies a jacobian: the moderate skeleton linearizes every model
 the same way, with A(t) = d_x b(t, xbar, d_xbar), the law frozen at the

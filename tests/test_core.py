@@ -8,6 +8,7 @@ from mvsde.core import (
     ModelSpec,
     Path,
     TimeGrid,
+    _as_rows,
     make_time_grid,
     null_control,
     null_mdp_control,
@@ -45,6 +46,19 @@ def test_coefficient_rows_broadcast_one_row_and_reject_wrong_shapes():
     )
     with pytest.raises(ValueError):
         wrong.drift_rows(0.0, x, law)
+
+
+def test_one_row_is_a_read_only_stride_0_view():
+    x = np.zeros((5, 2))
+    base = np.arange(6.0)
+    for value, strides in ((base[2:4], (0, 8)), (base[::3], (0, 24))):
+        # a contiguous row (here at an offset) is viewed directly; a
+        # non-contiguous one takes the np.broadcast_to fallback
+        rows = _as_rows(value, x, 2)
+        assert rows.strides == strides and not rows.flags.writeable
+        np.testing.assert_array_equal(rows, np.broadcast_to(value, x.shape))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
 
 
 def test_time_grid_rejects_bad_nodes():

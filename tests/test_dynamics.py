@@ -812,6 +812,54 @@ def test_read_ahead_keeps_the_bits(name):
     assert _lanes_sha256(rungs) == READ_AHEAD_SHA256[name]
 
 
+def _row_cases(name):
+    """A model whose increment is one row until a per-particle term joins
+    it: every term a row (pure_jump), a row drift then an (N, d)
+    compensator (pure_jump with a jump that reads x), or a law-only drift
+    on a sigma that is zero on some steps."""
+    if name == "law_drift":
+        spec = _switching_sigma_model()
+        return dataclasses.replace(spec, drift=lambda t, x, law: 0.3 - 0.5 * law.mean)
+    spec = get_model("pure_jump")
+    if name == "jump_reads_x":
+        spec = dataclasses.replace(spec, jump=lambda t, x, law, z: 1.0 - 0.5 * np.tanh(x))
+    return spec
+
+
+def _full_rows(spec):
+    """spec with its drift and jump returned as full (N, d) arrays of the
+    same values (times ones, which keeps every bit)."""
+    def drift(t, x, law):
+        return spec.drift(t, x, law) * np.ones_like(x)
+
+    def jump(t, x, law, z):
+        return spec.jump(t, x, law, z) * np.ones_like(x)
+
+    return dataclasses.replace(spec, drift=drift, jump=jump if spec.has_jumps else None)
+
+
+@pytest.mark.parametrize("name", ["all_rows", "jump_reads_x", "law_drift"])
+def test_row_increment_matches_full_coefficients(name):
+    # a lane whose terms are one (d,) row moves bit for bit as the same lane
+    # with full (N, d) coefficients, plain and controlled, at two eps
+    spec = _row_cases(name)
+    full = _full_rows(spec)
+    x = np.zeros((3, 1))
+    law = LawSummary.empirical(x)
+    assert spec.drift_rows(0.0, x, law).strides[0] == 0
+    assert full.drift_rows(0.0, x, law).strides[0] != 0
+    grid = make_time_grid(1.0, 40)
+    c = spec.n_mark_cells
+    ctl = Control(grid, np.full((40, 1), 0.4), np.full((40, c), 1.5), psi_bounds=(1.0, 1.5))
+    lanes = [Lane(0.2), Lane(0.2, ctl), Lane(0.05), Lane(0.05, ctl)]
+    rows = simulate_lanes(spec, grid, lanes, 2000, seed=8)
+    fulls = simulate_lanes(full, grid, lanes, 2000, seed=8)
+    for a, b in zip(rows, fulls):
+        assert a.terminal.tobytes() == b.terminal.tobytes()
+        assert a.meta["n_jumps"] == b.meta["n_jumps"]
+    assert all(r.meta["n_jumps"] > 0 for r in rows) == spec.has_jumps
+
+
 @pytest.fixture
 def workers(monkeypatch):
     """The names of the threads started while the test runs."""
