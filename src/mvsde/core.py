@@ -122,41 +122,36 @@ class Path:
         return self.values[-1]
 
 
+def _cell_table(values, grid: TimeGrid, what: str) -> np.ndarray:
+    """A control's cellwise table: one finite row per grid cell (a 1-d table
+    is one column), read-only."""
+    table = np.asarray(values, dtype=float)
+    if table.ndim == 1:
+        table = table[:, None]
+    if table.ndim != 2 or table.shape[0] != grid.n_steps:
+        raise InvalidControlError(f"{what} needs one row per grid cell")
+    if not np.isfinite(table).all():
+        raise InvalidControlError("control coefficients must be finite")
+    return _frozen_array(table)
+
+
 @dataclass(frozen=True)
 class Control:
     """Deterministic control u = (phi, psi) on a time grid.
 
     phi is piecewise constant per grid cell with values in R^d; psi is a
-    positive jump tilt, piecewise constant on time cells x mark cells, with
-    hard bounds 0 < lo <= psi <= hi.
+    positive jump tilt, piecewise constant on time cells x mark cells.
     """
 
     grid: TimeGrid
     phi: np.ndarray
     psi: np.ndarray
-    psi_bounds: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim == 1:
-            phi = phi[:, None]
-        if phi.ndim != 2 or phi.shape[0] != self.grid.n_steps:
-            raise InvalidControlError("phi needs one row per grid cell")
-        psi = np.asarray(self.psi, dtype=float)
-        if psi.ndim == 1:
-            psi = psi[:, None]
-        if psi.ndim != 2 or psi.shape[0] != self.grid.n_steps:
-            raise InvalidControlError("psi needs one row per grid cell")
-        lo, hi = map(float, self.psi_bounds)
-        if not (0.0 < lo <= hi and np.isfinite(hi)):
-            raise InvalidControlError("psi bounds must satisfy 0 < lo <= hi < inf")
-        if not np.isfinite(phi).all() or not np.isfinite(psi).all():
-            raise InvalidControlError("control coefficients must be finite")
-        if psi.size and (psi.min() < lo or psi.max() > hi):
-            raise InvalidControlError("psi leaves its declared bounds")
-        object.__setattr__(self, "phi", _frozen_array(phi))
-        object.__setattr__(self, "psi", _frozen_array(psi))
-        object.__setattr__(self, "psi_bounds", (lo, hi))
+        object.__setattr__(self, "phi", _cell_table(self.phi, self.grid, "phi"))
+        object.__setattr__(self, "psi", _cell_table(self.psi, self.grid, "psi"))
+        if (self.psi <= 0.0).any():
+            raise InvalidControlError("psi must be positive")
 
     @property
     def dim(self) -> int:
@@ -166,14 +161,16 @@ class Control:
     def n_mark_cells(self) -> int:
         return self.psi.shape[1]
 
+    @property
+    def psi_bar(self) -> float:
+        """The thinning bound max(1, max psi): jumps are proposed at psi_bar * nu."""
+        return max(1.0, float(self.psi.max(initial=1.0)))
+
 
 def null_control(grid: TimeGrid, dim: int, n_mark_cells: int = 0) -> Control:
-    """The null control (phi = 0, psi = 1) with tight unit bounds."""
+    """The null control (phi = 0, psi = 1)."""
     return Control(
-        grid,
-        np.zeros((grid.n_steps, dim)),
-        np.ones((grid.n_steps, n_mark_cells)),
-        psi_bounds=(1.0, 1.0),
+        grid, np.zeros((grid.n_steps, dim)), np.ones((grid.n_steps, n_mark_cells))
     )
 
 
@@ -187,20 +184,8 @@ class MdpControl:
     tilt: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        if phi.ndim == 1:
-            phi = phi[:, None]
-        if phi.ndim != 2 or phi.shape[0] != self.grid.n_steps:
-            raise InvalidControlError("phi needs one row per grid cell")
-        tilt = np.asarray(self.tilt, dtype=float)
-        if tilt.ndim == 1:
-            tilt = tilt[:, None]
-        if tilt.ndim != 2 or tilt.shape[0] != self.grid.n_steps:
-            raise InvalidControlError("tilt needs one row per grid cell")
-        if not np.isfinite(phi).all() or not np.isfinite(tilt).all():
-            raise InvalidControlError("control coefficients must be finite")
-        object.__setattr__(self, "phi", _frozen_array(phi))
-        object.__setattr__(self, "tilt", _frozen_array(tilt))
+        object.__setattr__(self, "phi", _cell_table(self.phi, self.grid, "phi"))
+        object.__setattr__(self, "tilt", _cell_table(self.tilt, self.grid, "tilt"))
 
     @property
     def dim(self) -> int:

@@ -10,7 +10,7 @@ for bit.
 Several lanes step in lockstep over one set of draws per step. They share
 one Brownian increment dW, which lane i scales by its own sqrt(eps_i), and
 one jump proposal set at rate (1 / eps_ref) * hi * nu, with eps_ref the
-smallest eps, psibar_i the upper psi bound of lane i and
+smallest eps, psibar_i = Control.psi_bar = max(1, max psi) of lane i and
 hi = max_i psibar_i * eps_ref / eps_i; lane i keeps a
 proposal iff u * hi < psi_i(cell) * eps_ref / eps_i, so thinning stays
 monotone in psi. A lane is bit-identical to its solo run when its rate
@@ -389,7 +389,7 @@ def simulate_lanes(
     # psi_i / eps_i; lane i keeps one iff u * hi < psi_i(cell) * eps_ref / eps_i
     eps_ref = min(lane.eps for lane in lanes)
     scale = [eps_ref / lane.eps for lane in lanes]
-    hi = max(ctl.psi_bounds[1] * f for ctl, f in zip(controls, scale))
+    hi = max(ctl.psi_bar * f for ctl, f in zip(controls, scale))
     thin_psi = [ctl.psi * f for ctl, f in zip(controls, scale)]
 
     n, d, big_n = grid.n_steps, spec.dim, n_particles
@@ -610,8 +610,7 @@ def _moderate_lane(
         raw = 1.0 + a * control.tilt
         psi = np.maximum(_PSI_FLOOR, raw)
         clamped = int(np.count_nonzero(raw < _PSI_FLOOR))
-        bounds = (float(psi.min(initial=1.0)), float(psi.max(initial=1.0)))
-        ctl = Control(grid, a * control.phi, psi, psi_bounds=bounds)
+        ctl = Control(grid, a * control.phi, psi)
         lane = Lane(eps, ctl, Path(grid, xbar), ref_x, record)
 
     def to_fluctuation(ens: ParticleEnsemble) -> ParticleEnsemble:

@@ -2,10 +2,10 @@
 
 Paths travel as CSV with a header row t,x0,...,x{d-1}. Controls travel as
 JSON carrying the grid nodes and the cellwise coefficient tables, tagged by
-lane ("ldp" controls hold phi/psi with psi bounds, "mdp" controls hold
-phi/tilt). Reports are plain JSON dicts produced by the to_dict methods,
-wrapped with a manifest of the producing parameters; manifests never include
-timestamps, so rerunning a command reproduces its output byte for byte.
+lane ("ldp" controls hold phi/psi, "mdp" controls hold phi/tilt). Reports
+are plain JSON dicts produced by the to_dict methods, wrapped with a
+manifest of the producing parameters; manifests never include timestamps,
+so rerunning a command reproduces its output byte for byte.
 """
 from __future__ import annotations
 
@@ -52,15 +52,19 @@ def save_path_csv(file, path: Path) -> None:
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
-def load_path_csv(file) -> Path:
-    file = FsPath(file)
+def _read_text(file, what: str) -> str:
+    """The text of a user-named input file; an InvalidArgumentError when it
+    cannot be read (missing, a directory, unreadable) or is not UTF-8."""
     try:
-        with file.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = [row for row in reader if row]
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"path file not found: {file}")
+        return FsPath(file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgumentError(f"cannot read {what} file {file}: {exc}")
+
+
+def load_path_csv(file) -> Path:
+    reader = csv.reader(_read_text(file, "path").splitlines())
+    header = next(reader, None)
+    rows = [row for row in reader if row]
     if not header or header[0] != "t" or len(rows) < 2:
         raise InvalidArgumentError(f"{file} is not a path CSV (header t,x0,...)")
     try:
@@ -77,7 +81,6 @@ def save_control(file, control) -> None:
             "nodes": control.grid.nodes.tolist(),
             "phi": control.phi.tolist(),
             "psi": control.psi.tolist(),
-            "psi_bounds": list(control.psi_bounds),
         }
     elif isinstance(control, MdpControl):
         payload = {
@@ -92,21 +95,22 @@ def save_control(file, control) -> None:
 
 
 def load_control(file):
-    file = FsPath(file)
+    """A Control or MdpControl from its JSON file; a file with no "kind"
+    reads as "ldp", and keys that the kind does not use are ignored."""
     try:
-        raw = json.loads(file.read_text())
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"control file not found: {file}")
+        raw = json.loads(_read_text(file, "control"))
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"control file is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"control file is not a JSON object: {file}")
-    mdp = raw.get("kind") == "mdp"
+    kind = raw.get("kind", "ldp")
+    if kind not in ("ldp", "mdp"):
+        raise InvalidArgumentError(f"control file kind must be ldp or mdp, not {kind!r}")
+    mdp = kind == "mdp"
     try:
         nodes = np.asarray(raw["nodes"], dtype=float)
         phi = np.asarray(raw["phi"], dtype=float)
         other = np.asarray(raw["tilt" if mdp else "psi"], dtype=float)
-        lo, hi = map(float, raw.get("psi_bounds", (1.0, 1.0)))
     except KeyError as exc:
         raise InvalidArgumentError(f"control file is missing key {exc}")
     except (TypeError, ValueError) as exc:
@@ -114,7 +118,7 @@ def load_control(file):
     grid = TimeGrid(nodes)
     if mdp:
         return MdpControl(grid, phi, other)
-    return Control(grid, phi, other, psi_bounds=(lo, hi))
+    return Control(grid, phi, other)
 
 
 def save_report(file, payload: dict) -> None:

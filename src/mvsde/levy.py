@@ -210,10 +210,12 @@ def sample_controlled_prm(
     n_streams: int,
     rng: np.random.Generator,
 ) -> JumpStream:
-    """Sample tilted measures at intensity rate_scale * psi(t, z) nu(dz) dt."""
+    """Sample tilted measures at intensity rate_scale * psi(t, z) nu(dz) dt,
+    thinned from proposals at rate_scale * control.psi_bar * nu."""
     if control.grid != grid:
         raise GridMismatchError("control grid does not match the sampling grid")
     if control.n_mark_cells != intensity.n_cells:
         raise InvalidControlError("control psi does not cover the mark cells")
-    lo, hi = control.psi_bounds
-    return _sample_thinned(grid, intensity, rate_scale, control.psi, hi, n_streams, rng)
+    return _sample_thinned(
+        grid, intensity, rate_scale, control.psi, control.psi_bar, n_streams, rng
+    )

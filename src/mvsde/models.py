@@ -19,12 +19,12 @@ argument drops out of the moderate limit.
 from __future__ import annotations
 
 import json
-from pathlib import Path as FsPath
 
 import numpy as np
 
 from .core import ModelSpec
 from .errors import InvalidArgumentError
+from .io import _read_text
 from .levy import IntensityMeasure
 
 __all__ = ["get_model", "list_models", "load_model_file"]
@@ -182,11 +182,8 @@ def load_model_file(path) -> ModelSpec:
       jump:      {"mark_matrix": [d][m]}      G(t, x, mu, z) = mark_matrix z
       intensity: {"atoms": [c][m], "masses": [c]}
     """
-    path = FsPath(path)
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise InvalidArgumentError(f"model file not found: {path}")
+        raw = json.loads(_read_text(path, "model"))
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"model file is not valid JSON: {exc}")
     if not isinstance(raw, dict):

@@ -317,14 +317,8 @@ class _LdpProblem:
     def expand(self, params: np.ndarray) -> Control:
         k, d, c = self.k, self.d, self.n_cells
         phi = params[: k * d].reshape(k, d)[self.map]
-        if c:
-            theta = np.clip(params[k * d :].reshape(k, c), -_THETA_CLIP, _THETA_CLIP)
-            psi = np.exp(theta)[self.map]
-            bounds = (min(1.0, float(psi.min())), max(1.0, float(psi.max())))
-        else:
-            psi = np.ones((self.grid.n_steps, 0))
-            bounds = (1.0, 1.0)
-        return Control(self.grid, phi, psi, psi_bounds=bounds)
+        theta = np.clip(params[k * d :].reshape(k, c), -_THETA_CLIP, _THETA_CLIP)
+        return Control(self.grid, phi, np.exp(theta)[self.map])
 
     def evaluate(self, params: np.ndarray):
         """-> (cost, excess, skeleton path | None); (inf, inf, None) when

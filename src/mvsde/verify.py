@@ -401,12 +401,7 @@ def demo_frozen_vs_selfconsistent(
 
     spec = get_model("example11")
     grid = make_time_grid(1.0, n_steps)
-    control = Control(
-        grid,
-        np.ones((n_steps, 1)),
-        np.ones((n_steps, 0)),
-        psi_bounds=(1.0, 1.0),
-    )
+    control = Control(grid, np.ones((n_steps, 1)), np.ones((n_steps, 0)))
     lanes = [Lane(eps), Lane(eps, control, 0), Lane(eps, control, "self")]
     reference, frozen, selfc = simulate_lanes(spec, grid, lanes, n_particles, seed)
     skeleton = solve_ldp_skeleton(spec, grid, control).path

@@ -15,7 +15,7 @@ from mvsde.dynamics import (
     simulate_controlled_selfconsistent,
     simulate_mvsde,
 )
-from mvsde.levy import sample_controlled_prm, sample_prm
+from mvsde.levy import propose_step, thin_step
 from mvsde.models import get_model
 from mvsde.rate import EventSpec, OptimizerConfig, ell, ldp_rate, mdp_rate, q2_cost
 from mvsde.skeleton import solve_ldp_skeleton, solve_limit_ode, solve_mdp_skeleton
@@ -64,7 +64,7 @@ def test_criterion_2_frozen_vs_selfconsistent_demo():
 def test_criterion_3_skeleton_solver_exactness():
     spec = get_model("example11")
     grid = make_time_grid(1.0, 800)
-    ctl = Control(grid, np.ones((800, 1)), np.ones((800, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((800, 1)), np.ones((800, 0)))
     shifted = solve_ldp_skeleton(spec, grid, ctl)
     err = abs(float(shifted.path.terminal[0]) - (E + 1.0))
     null = solve_ldp_skeleton(spec, grid, null_control(grid, 1, 0))
@@ -167,15 +167,19 @@ def test_criterion_8_structural_invariants():
         spec, grid, 0.02, null_control(grid, 1, 1), 32, seed=4
     )
     checks.append(("null coupling", np.array_equal(plain.paths, nullc.paths)))
-    # (b) thinned jump acceptance is monotone in psi at a shared dominating rate
+    # (b) thinned jump acceptance is monotone in psi: one proposal set per
+    # step at a shared dominating rate, thinned with each psi row
     nu = spec.intensity
-    lo = Control(grid, np.zeros((80, 1)), np.full((80, 1), 0.7), psi_bounds=(0.5, 2.0))
-    hi = Control(grid, np.zeros((80, 1)), np.full((80, 1), 1.8), psi_bounds=(0.5, 2.0))
-    js_lo = sample_controlled_prm(grid, nu, 50.0, lo, 2, np.random.default_rng(0))
-    js_hi = sample_controlled_prm(grid, nu, 50.0, hi, 2, np.random.default_rng(0))
-    lo_set = set(zip(js_lo.stream.tolist(), js_lo.time.tolist()))
-    hi_set = set(zip(js_hi.stream.tolist(), js_hi.time.tolist()))
-    checks.append(("monotone thinning", lo_set <= hi_set))
+    lo = Control(grid, np.zeros((80, 1)), np.full((80, 1), 0.7))
+    hi = Control(grid, np.zeros((80, 1)), np.full((80, 1), 1.8))
+    rng = np.random.default_rng(0)
+    monotone = True
+    for t0, dt, psi_lo, psi_hi in zip(grid.nodes, grid.dt, lo.psi, hi.psi):
+        proposal = propose_step(nu, 50.0, t0, dt, 2.0, 2, rng)
+        lo_set = set(zip(*(a.tolist() for a in thin_step(proposal, psi_lo)[:2])))
+        hi_set = set(zip(*(a.tolist() for a in thin_step(proposal, psi_hi)[:2])))
+        monotone &= lo_set <= hi_set
+    checks.append(("monotone thinning", monotone))
     # (c) jump cost vanishes exactly at psi = 1 and only there
     ctl_null = null_control(grid, 1, 1)
     checks.append(("q2 ground state",
@@ -217,3 +221,45 @@ def test_criterion_9_moderate_rate_with_jumps_and_nonzero_linearization():
           f"mdp_rate {target:.5f}, mc extrapolation {rep.intercept:.4f} "
           f"(err {mc_err:+.4f}, tol 0.05, fit {rep.fit_method}); "
           f"naive {naive:.5f}, {abs(naive - target):.4f} away, {elapsed:.1f}s")
+
+
+def test_criterion_10_ldp_rate_bridges_to_the_moderate_rate():
+    # the moderate rate is the quadratic part of the large-deviation rate at
+    # the limit: for x(T) >= xbar(T) + a r, I_LDP(a) / a^2 -> I_MDP with an
+    # O(a) error, which Richardson's 2 v(a/2) - v(a) removes. No Monte Carlo;
+    # every bound was fixed before the first run.
+    t0 = time.perf_counter()
+    spec = get_model("logistic_mf")
+    grid = make_time_grid(1.0, 400)
+    x_t = float(solve_limit_ode(spec, grid).terminal[0])
+    target = mdp_rate(spec, grid, EventSpec.halfspace([1.0], 0.3)).value
+    config = OptimizerConfig(n_starts=1, control_cells=400, seed=0)
+    scales = (0.1, 0.05, 0.025)
+    v = [ldp_rate(spec, grid, EventSpec.halfspace([1.0], x_t + a * 0.3), config).value / a**2
+         for a in scales]
+    gaps = [x / target - 1.0 for x in v]
+    ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+    richardson = 2.0 * v[2] - v[1]
+    rich_err = richardson / target - 1.0
+    naive_spec = dataclasses.replace(spec, drift=lambda t, x, law: x * (1.0 - x))
+    naive = mdp_rate(naive_spec, grid, EventSpec.halfspace([1.0], 0.3)).value
+    # pure_jump: the tilt psi = 1 + a r costs exactly ell(1 + a r)
+    jump = get_model("pure_jump")
+    coarse = make_time_grid(1.0, 50)
+    x_jump = float(solve_limit_ode(jump, coarse).terminal[0])
+    jump_config = OptimizerConfig(n_starts=1, control_cells=50, seed=0)
+    jump_err = max(
+        abs(ldp_rate(jump, coarse, EventSpec.halfspace([1.0], x_jump + a * 0.5), jump_config)
+            .value / float(ell(1.0 + a * 0.5)) - 1.0)
+        for a in scales
+    )
+    elapsed = time.perf_counter() - t0
+    ok = (all(1.8 <= r <= 2.2 for r in ratios) and abs(rich_err) <= 1e-4
+          and jump_err <= 1e-4)
+    _line(10, ok,
+          f"logistic_mf I_LDP/a^2 {', '.join(f'{x:.6f}' for x in v)} at a = "
+          f"{', '.join(f'{a:g}' for a in scales)}; gap ratios "
+          f"{ratios[0]:.3f}, {ratios[1]:.3f} (in [1.8, 2.2]); richardson "
+          f"{richardson:.7f} vs mdp_rate {target:.7f} (rel {rich_err:+.1e}, tol 1e-4); "
+          f"naive {naive:.5f}; pure_jump vs ell(1 + a r) rel {jump_err:.1e} "
+          f"(tol 1e-4); {elapsed:.2f}s")

@@ -346,11 +346,23 @@ def test_invalid_numbers_exit_2(runner, args, message):
         (["rate", "--event", "path:{f}:0.1"], "bad.csv", "t,x0\n0.0,1.0\n1.0,abc\n"),
         (["skeleton", "--control", "{f}"], "bad.json", "[1, 2]"),
         (["skeleton", "--model", "{f}"], "bad.json", '{"name": "x", "dim": "one", "initial": [0]}'),
+        # bytes that are not UTF-8, and a directory (body None) in the file's place
+        (["rate", "--event", "path:{f}:0.1"], "bad.csv", b"\xff\xfet,x0\n"),
+        (["skeleton", "--control", "{f}"], "bad.json", b"\xff\xfe{}"),
+        (["skeleton", "--model", "{f}"], "bad.json", b"\xff\xfe{}"),
+        (["rate", "--event", "path:{f}:0.1"], "dir.csv", None),
+        (["skeleton", "--control", "{f}"], "dir.json", None),
+        (["skeleton", "--model", "{f}"], "dir.json", None),
     ],
 )
 def test_malformed_files_exit_2(runner, tmp_path, args, name, body):
     f = tmp_path / name
-    f.write_text(body)
+    if body is None:
+        f.mkdir()
+    elif isinstance(body, bytes):
+        f.write_bytes(body)
+    else:
+        f.write_text(body)
     out = runner.invoke(main, [a.format(f=f) for a in args])
     assert out.exit_code == 2, out.output
     assert "Traceback" not in out.output

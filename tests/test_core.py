@@ -99,11 +99,13 @@ def test_control_validation():
     assert ctl.phi.shape == (4, 2)
     assert ctl.psi.shape == (4, 3)
     with pytest.raises(InvalidControlError):
-        Control(grid, np.zeros((3, 2)), np.ones((4, 3)), psi_bounds=(1.0, 1.0))
+        Control(grid, np.zeros((3, 2)), np.ones((4, 3)))
     with pytest.raises(InvalidControlError):
-        Control(grid, np.zeros((4, 2)), np.ones((4, 3)), psi_bounds=(0.0, 1.0))
-    with pytest.raises(InvalidControlError):
-        Control(grid, np.zeros((4, 2)), 2 * np.ones((4, 3)), psi_bounds=(1.0, 1.5))
+        Control(grid, np.zeros((4, 2)), np.zeros((4, 3)))
+    # the thinning bound is max(1, max psi), read off the table
+    assert ctl.psi_bar == 1.0
+    assert Control(grid, np.zeros((4, 2)), np.full((4, 3), 0.5)).psi_bar == 1.0
+    assert Control(grid, np.zeros((4, 2)), np.full((4, 3), 2.0)).psi_bar == 2.0
 
 
 def test_null_mdp_control_is_zero():

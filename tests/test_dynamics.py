@@ -152,7 +152,7 @@ def test_lockstep_lanes_equal_their_solo_runs(example11, logistic):
         (example11, Control(grid, np.ones((60, 1)), np.ones((60, 0)))),
         (
             logistic,
-            Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6), psi_bounds=(0.5, 1.0)),
+            Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6)),
         ),
     ):
         lanes = [
@@ -177,7 +177,7 @@ def test_lockstep_thinning_is_monotone_in_psi(pure_jump):
     # lane thins the same proposals as the plain lane at the shared hi = 2, so
     # it keeps every jump the plain lane keeps
     grid = make_time_grid(1.0, 50)
-    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 2.0), psi_bounds=(1.0, 2.0))
+    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 2.0))
     plain, tilted = simulate_lanes(
         pure_jump, grid, [Lane(0.05), Lane(0.05, ctl, 0)], 500, seed=3
     )
@@ -238,7 +238,7 @@ def test_law_flow_variants_agree_for_mean_drift(example11):
     # drift reads only the law mean, so a dirac(limit) flow drives it the same
     # way up to the Euler-vs-limit discretization gap of the cloud itself
     grid = make_time_grid(1.0, 100)
-    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
     plain = simulate_mvsde(example11, grid, 1e-6, 4000, seed=1)
     replay = simulate_controlled_frozen(
         example11, grid, 1e-6, ctl, lambda k: LawSummary.empirical(plain.paths[k]),
@@ -426,7 +426,7 @@ def test_lockstep_coefficients_read_the_left_endpoint_cloud():
     # coefficient call that can read it (the law sources, lanes 0 and 1, move
     # last, jumps run on a copy)
     grid = make_time_grid(1.0, 60)
-    ctl = Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6), psi_bounds=(0.5, 1.0))
+    ctl = Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6))
     runs = []
     for read in (lambda law: law.mean, lambda law: law.cloud.mean(axis=0)):
         lanes = [
@@ -527,7 +527,7 @@ def test_one_row_jump_coefficient_broadcasts(pure_jump):
     b = simulate_mvsde(pure_jump, grid, 0.05, 200, seed=3)
     assert a.meta["n_jumps"] > 0
     _assert_same_run(a, b)
-    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 1.5), psi_bounds=(1.5, 1.5))
+    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 1.5))
     np.testing.assert_array_equal(
         solve_ldp_skeleton(one_row, grid, ctl).path.values,
         solve_ldp_skeleton(pure_jump, grid, ctl).path.values,
@@ -578,12 +578,12 @@ def _shared_work_cases(name):
             diffusion=lambda t, x, law: 0.5 * (1.0 + law.mean**2)[None],
         )
         c = spec.n_mark_cells
-        ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5), psi_bounds=(1.5, 1.5))
+        ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5))
         limit = solve_limit_ode(spec, grid)
         return spec, grid, [Lane(0.05), Lane(0.05, ctl, limit, limit), Lane(0.05, ctl, "self")]
     spec = get_model(name.removeprefix("frozen_"))
     c = spec.n_mark_cells
-    ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5), psi_bounds=(1.5, 1.5))
+    ctl = Control(grid, np.full((100, 1), 0.5), np.full((100, c), 1.5))
     skeleton = solve_ldp_skeleton(spec, grid, ctl).path
     return spec, grid, [Lane(0.05), Lane(0.05, ctl, 0, skeleton)]
 
@@ -748,7 +748,7 @@ def _compensator_case(name, tmp_path):
         spec = dataclasses.replace(spec, jump=jump)
     grid = make_time_grid(1.0, 100)
     d, c = spec.dim, spec.n_mark_cells
-    ctl = Control(grid, np.full((100, d), 0.5), np.full((100, c), 1.5), psi_bounds=(1.0, 1.5))
+    ctl = Control(grid, np.full((100, d), 0.5), np.full((100, c), 1.5))
     lanes = [Lane(0.1), Lane(0.1, ctl, 0), Lane(0.1, ctl, "self"), Lane(0.05)]
     return spec, grid, lanes
 
@@ -850,7 +850,7 @@ def test_row_increment_matches_full_coefficients(name):
     assert full.drift_rows(0.0, x, law).strides[0] != 0
     grid = make_time_grid(1.0, 40)
     c = spec.n_mark_cells
-    ctl = Control(grid, np.full((40, 1), 0.4), np.full((40, c), 1.5), psi_bounds=(1.0, 1.5))
+    ctl = Control(grid, np.full((40, 1), 0.4), np.full((40, c), 1.5))
     lanes = [Lane(0.2), Lane(0.2, ctl), Lane(0.05), Lane(0.05, ctl)]
     rows = simulate_lanes(spec, grid, lanes, 2000, seed=8)
     fulls = simulate_lanes(full, grid, lanes, 2000, seed=8)

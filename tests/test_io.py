@@ -15,7 +15,8 @@ from mvsde.io import (
     save_path_csv,
     save_report,
 )
-from mvsde.skeleton import solve_limit_ode
+from mvsde.models import get_model
+from mvsde.skeleton import solve_ldp_skeleton, solve_limit_ode
 
 
 def test_path_csv_roundtrip_is_exact(tmp_path, example11):
@@ -50,8 +51,7 @@ def test_path_csv_rejects_garbage(tmp_path):
         {"nodes": [0.0, "x", 1.0], "phi": [[0.0], [0.0]], "psi": [[], []]},
         {"nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0, 1.0]], "psi": [[], []]},
         {"nodes": [0.0, 0.5, 1.0], "phi": 0.0, "psi": [[], []]},
-        {"nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0]], "psi": [[], []],
-         "psi_bounds": [1.0, 2.0, 3.0]},
+        {"kind": "mdq", "nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0]], "psi": [[], []]},
         {"kind": "mdp", "nodes": [0.0, 0.5, 1.0], "phi": [[0.0], [0.0]], "tilt": {}},
     ],
 )
@@ -65,25 +65,34 @@ def test_control_file_rejects_garbage(tmp_path, raw):
 def test_control_roundtrip_both_kinds(tmp_path):
     grid = make_time_grid(1.0, 12)
     rng = np.random.default_rng(0)
-    ldp = Control(
-        grid,
-        rng.standard_normal((12, 2)),
-        rng.uniform(0.5, 1.5, (12, 3)),
-        psi_bounds=(0.5, 1.5),
-    )
+    ldp = Control(grid, rng.standard_normal((12, 2)), rng.uniform(0.5, 1.5, (12, 3)))
     f = tmp_path / "c.json"
     save_control(f, ldp)
     back = load_control(f)
     assert isinstance(back, Control)
     np.testing.assert_array_equal(back.phi, ldp.phi)
     np.testing.assert_array_equal(back.psi, ldp.psi)
-    assert back.psi_bounds == ldp.psi_bounds
 
     mdp = MdpControl(grid, rng.standard_normal((12, 2)), rng.standard_normal((12, 3)))
     save_control(f, mdp)
     back2 = load_control(f)
     assert isinstance(back2, MdpControl)
     np.testing.assert_array_equal(back2.tilt, mdp.tilt)
+
+    # control files once carried a declared "psi_bounds" pair: the key is
+    # ignored, and the skeleton under the loaded control keeps its bits
+    phi, psi = rng.standard_normal((12, 1)), rng.uniform(0.5, 1.5, (12, 1))
+    f.write_text(json.dumps({
+        "kind": "ldp",
+        "nodes": grid.nodes.tolist(),
+        "phi": phi.tolist(),
+        "psi": psi.tolist(),
+        "psi_bounds": [0.5, 1.5],
+    }))
+    back3 = load_control(f)
+    np.testing.assert_array_equal(back3.psi, psi)
+    terminal = solve_ldp_skeleton(get_model("logistic_mf"), grid, back3).path.terminal
+    assert float(terminal[0]) == 0.5430706609603508
 
 
 def test_manifest_is_stable_and_tagged():

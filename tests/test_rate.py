@@ -54,7 +54,7 @@ def test_costs_vanish_on_null_controls(logistic):
 
 def test_q1_quadrature():
     grid = make_time_grid(1.0, 4)
-    ctl = Control(grid, 2.0 * np.ones((4, 1)), np.ones((4, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, 2.0 * np.ones((4, 1)), np.ones((4, 0)))
     assert q1_cost(ctl) == pytest.approx(0.5 * 4.0)  # 1/2 |phi|^2 T
 
 
@@ -65,7 +65,7 @@ def test_q2_nonnegative_zero_only_at_one(seed):
     nu = IntensityMeasure(np.array([[1.0], [2.0]]), np.array([0.5, 1.5]))
     rng = np.random.default_rng(seed)
     psi = rng.uniform(0.05, 3.0, size=(8, 2))
-    ctl = Control(grid, np.zeros((8, 1)), psi, psi_bounds=(0.05, 3.0))
+    ctl = Control(grid, np.zeros((8, 1)), psi)
     cost = q2_cost(ctl, nu)
     assert cost >= 0.0
     assert (cost == 0.0) == bool(np.all(psi == 1.0))

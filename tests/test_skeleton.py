@@ -52,7 +52,7 @@ def test_null_control_is_exact_fixed_point(example11):
 def test_constant_brownian_control_shifts_by_t(example11):
     # drift depends on the (frozen) law only, so y = xbar + t exactly
     grid = make_time_grid(1.0, 800)
-    ctl = Control(grid, np.ones((800, 1)), np.ones((800, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((800, 1)), np.ones((800, 0)))
     sol = solve_ldp_skeleton(example11, grid, ctl)
     assert abs(sol.path.terminal[0] - (E + 1.0)) < 1e-10
 
@@ -61,7 +61,7 @@ def test_constant_jump_tilt_integrates_mass(pure_jump):
     # b = 0, G = 1, nu({1}) = 1: y(T) = (psi - 1) T exactly
     grid = make_time_grid(1.0, 100)
     c = 1.75
-    ctl = Control(grid, np.zeros((100, 1)), np.full((100, 1), c), psi_bounds=(0.5, 2.0))
+    ctl = Control(grid, np.zeros((100, 1)), np.full((100, 1), c))
     sol = solve_ldp_skeleton(pure_jump, grid, ctl)
     assert sol.path.terminal[0] == pytest.approx(c - 1.0, abs=1e-12)
 
@@ -69,7 +69,7 @@ def test_constant_jump_tilt_integrates_mass(pure_jump):
 def test_picard_reports_non_convergence(monkeypatch):
     spec = get_model("linear_gaussian")  # drift depends on the state itself
     grid = make_time_grid(1.0, 100)
-    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
     monkeypatch.setattr(skeleton_module, "_PICARD_MAX_ITER", 1)
     monkeypatch.setattr(skeleton_module, "_PICARD_TOL", 1e-12)
     with pytest.raises(NoConvergenceError) as stalled:
@@ -175,7 +175,7 @@ def test_mdp_skeleton_is_the_tangent_of_the_ldp_skeleton_map(name, tmp_path, mon
     delta = 1e-4
 
     def skeleton(sign):
-        ctl = Control(grid, sign * delta * phi, 1.0 + sign * delta * tilt, (0.5, 2.0))
+        ctl = Control(grid, sign * delta * phi, 1.0 + sign * delta * tilt)
         return solve_ldp_skeleton(spec, grid, ctl).path.values
 
     central = (skeleton(1.0) - skeleton(-1.0)) / (2.0 * delta)
@@ -196,7 +196,7 @@ def test_one_row_drift_broadcasts(pure_jump):
     one_row = dataclasses.replace(pure_jump, drift=lambda t, x, law: np.full(1, 0.5))
     rows = dataclasses.replace(pure_jump, drift=lambda t, x, law: np.full(np.shape(x), 0.5))
     grid = make_time_grid(1.0, 50)
-    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 1.5), psi_bounds=(1.5, 1.5))
+    ctl = Control(grid, np.zeros((50, 1)), np.full((50, 1), 1.5))
     np.testing.assert_array_equal(
         solve_ldp_skeleton(one_row, grid, ctl).path.values,
         solve_ldp_skeleton(rows, grid, ctl).path.values,

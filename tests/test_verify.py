@@ -173,7 +173,7 @@ def test_terminal_w2_is_the_point_mass_closed_form(model):
 
 def test_check_controlled_convergence_smoke(example11):
     grid = make_time_grid(1.0, 100)
-    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
     rep = check_controlled_convergence(
         example11, grid, [0.1, 0.05, 0.025], ctl, n_particles=400, seed=2
     )
@@ -193,7 +193,7 @@ def test_controlled_ladder_equals_its_solo_runs(example11):
     # every rung is a frozen lane on its own plain lane, all from the ladder
     # seed; without jumps each rung is bit-identical to its solo run
     grid = make_time_grid(1.0, 100)
-    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((100, 1)), np.ones((100, 0)))
     eps_list, n, seed = [0.1, 0.05, 0.025], 400, 2
     rep = check_controlled_convergence(example11, grid, eps_list, ctl, n, seed)
     skeleton = solve_ldp_skeleton(example11, grid, ctl).path
@@ -219,7 +219,7 @@ def test_check_controlled_convergence_is_one_simulation(example11, monkeypatch):
     monkeypatch.setattr(dynamics, "simulate_lanes", counting)
     monkeypatch.setattr(verify, "simulate_lanes", counting)
     grid = make_time_grid(1.0, 20)
-    ctl = Control(grid, np.ones((20, 1)), np.ones((20, 0)), psi_bounds=(1.0, 1.0))
+    ctl = Control(grid, np.ones((20, 1)), np.ones((20, 0)))
     check_controlled_convergence(example11, grid, [0.1, 0.05, 0.025], ctl, 50, seed=0)
     assert len(calls) == 1
 
