@@ -147,7 +147,8 @@ horizon_option = click.option(
     "--horizon", default=1.0, show_default=True, help="Time horizon T."
 )
 seed_option = click.option(
-    "--seed", default=0, show_default=True, help="Master seed."
+    "--seed", type=click.IntRange(min=0), default=0, show_default=True,
+    help="Master seed, an integer >= 0.",
 )
 jobs_option = click.option(
     "--jobs",

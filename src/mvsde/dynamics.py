@@ -37,16 +37,25 @@ Per step k, with the law frozen at the left endpoint:
          - dt * sum_j G nu_j        (compensator)
 
 followed by the step's accepted jumps, X += eps * G, applied in time
-order per particle (grouped by occurrence rank, vectorized across particles).
-Each cloud moves in place through step buffers shared by all lanes. Every
-coefficient call still sees the left-endpoint cloud through law.cloud: the
-jump coefficients run on a gathered copy of the jumping particles'
-post-drift states, and the lanes that no other lane reads move first, in
+order per particle. While the compensator is one row (below), G reads no x
+(models), and G is evaluated once per present mark cell over that cell's
+jumps at their own times; when each answer is one row, the jumps land after
+X += increment in one ordered scatter (np.add.at, one add at a time in
+(stream, time) order) from a (C, d) table of eps * G (_jump_table). Any
+other G (one that reads x, or t per jump) takes the rank loop
+(_apply_jumps): grouped by occurrence rank, vectorized across particles, on
+a gathered copy of the jumping particles' post-drift states. Both give each
+particle fl(x + increment), then + fl(eps * G) once per jump in time order,
+so they agree bit for bit. Each cloud moves in place through step buffers
+shared by all lanes. Every coefficient call still sees the left-endpoint
+cloud through law.cloud: the jump coefficients run before the cloud moves
+or on a gathered copy, and the lanes that no other lane reads move first, in
 index order, then the lanes that another lane reads (the law sources), in
 index order; a law source may not itself read another lane. The step's
 jumps are sampled inside the loop, sorted once (levy.propose_step) and
-masked per lane (levy.thin_step), so no lane sorts and memory holds one
-step's jumps, not the horizon's. The compensator is summed atom by atom;
+masked per lane (levy.thin_step, which keeps the (stream, time) order and
+ranks nothing), so no lane sorts and memory holds one step's jumps, not the
+horizon's. The compensator is summed atom by atom;
 with three or more mark atoms its last bit can differ from an einsum's.
 While every atom's G has its rows all equal (a (d,) value, or a view with
 row stride 0, as pure_jump and the JSON models give) it is summed as one
@@ -268,16 +277,44 @@ def _join(op, inc, term, out):
     return op(inc, term) if inc.ndim == term.ndim == 1 else op(inc, term, out=out)
 
 
-def _apply_jumps(streams, times, cells, ranks, x, incr, law, spec, eps):
+def _jump_table(streams, times, cells, x, law, spec, eps):
+    """eps * G as one (C, d) table, row c for mark cell c, when G gives one
+    row over each present cell's jumps at their own times; else None. x
+    (which law.cloud may be) is read only for the jumpers' rows, the batch
+    that G is handed."""
+    table = np.empty((spec.n_mark_cells, spec.dim))
+    present = np.flatnonzero(np.bincount(cells))
+    for j in present:
+        sel = slice(None) if present.size == 1 else np.flatnonzero(cells == j)
+        batch = np.take(x, streams[sel], axis=0)
+        g = spec.jump_rows(times[sel], batch, law, spec.intensity.atoms[j])
+        if g.strides[0] != 0:
+            return None
+        table[j] = eps * g[0]
+    return table
+
+
+def _scatter_jumps(x, streams, cells, table):
+    """x[s] += table[c] for each jump (s, c), one add at a time in the jumps'
+    (stream, time) order, through flat indices s * d + component of the
+    C-contiguous cloud x."""
+    d = x.shape[1]
+    at = streams if d == 1 else (streams[:, None] * d + np.arange(d)).ravel()
+    np.add.at(x.reshape(-1), at, table[cells].ravel())
+
+
+def _apply_jumps(streams, times, cells, x, incr, law, spec, eps):
     """Apply one step's accepted jumps, given in (stream, time) order, in
     per-particle time order to the post-drift states x + incr of the
     particles that jump; incr is the (N, d) increment or one (d,) row for
     every particle. The jump coefficients run on a gathered copy, so x
     (which law.cloud may be) keeps the step's left endpoint; returns the
     jumping particles and their end-of-step states."""
-    # rank 0 holds every jumping particle once, in stream order, and a
-    # stream's jump of rank r + 1 sits right after its jump of rank r
-    head = np.append(ranks == 0, True)
+    # head marks each stream's first jump (and a sentinel past the end):
+    # they hold every jumping particle once, in stream order, and a stream's
+    # jump of rank r + 1 sits right after its jump of rank r
+    head = np.ones(streams.size + 1, dtype=bool)
+    np.not_equal(streams[1:], streams[:-1], out=head[1:-1])
     now = np.flatnonzero(head[:-1])
     movers = streams[now]
     moved = np.take(x, movers, axis=0)
@@ -477,10 +514,18 @@ def simulate_lanes(
                         noise_scale = None
                     jumps = thin_step(proposal, thin_psi[i][k])
                     n_jumps[i] += jumps[0].size
-                    movers, moved = _apply_jumps(*jumps, x, inc, law, spec, lanes[i].eps)
+                    # a G that gives the cloud one row reads no x (models): its
+                    # jumps land in one scatter if it gives each cell one row
+                    table = None if comp.ndim == 2 else _jump_table(
+                        *jumps, x, law, spec, lanes[i].eps
+                    )
+                    if table is None:
+                        movers, moved = _apply_jumps(*jumps, x, inc, law, spec, lanes[i].eps)
                 x += inc
-                if spec.has_jumps:
+                if spec.has_jumps and table is None:
                     x[movers] = moved
+                elif spec.has_jumps:
+                    _scatter_jumps(x, jumps[0], jumps[2], table)
                 _guard(x, k, "particle system")
                 recs[i].record(k + 1, x, incr)
 

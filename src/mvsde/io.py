@@ -10,6 +10,7 @@ so rerunning a command reproduces its output byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path as FsPath
 
@@ -43,13 +44,24 @@ class _NumpyEncoder(json.JSONEncoder):
         return super().default(obj)
 
 
+def _write_text(file, text: str, what: str) -> None:
+    """Write text, as is, to a user-named output file; an
+    InvalidArgumentError when it cannot be written (a missing directory, a
+    directory in its place, no permission)."""
+    try:
+        with open(file, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {what} file {file}: {exc}")
+
+
 def save_path_csv(file, path: Path) -> None:
-    file = FsPath(file)
-    with file.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{j}" for j in range(path.dim)])
-        for t, row in zip(path.grid.nodes, path.values):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"x{j}" for j in range(path.dim)])
+    for t, row in zip(path.grid.nodes, path.values):
+        writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+    _write_text(file, buf.getvalue(), "path")
 
 
 def _read_text(file, what: str) -> str:
@@ -91,7 +103,7 @@ def save_control(file, control) -> None:
         }
     else:
         raise InvalidArgumentError("save_control takes a Control or MdpControl")
-    FsPath(file).write_text(json.dumps(payload, indent=2, cls=_NumpyEncoder) + "\n")
+    _write_text(file, json.dumps(payload, indent=2, cls=_NumpyEncoder) + "\n", "control")
 
 
 def load_control(file):
@@ -122,7 +134,7 @@ def load_control(file):
 
 
 def save_report(file, payload: dict) -> None:
-    FsPath(file).write_text(json.dumps(payload, indent=2, cls=_NumpyEncoder) + "\n")
+    _write_text(file, json.dumps(payload, indent=2, cls=_NumpyEncoder) + "\n", "report")
 
 
 def ensemble_summary(ens) -> dict:

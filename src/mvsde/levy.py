@@ -5,8 +5,9 @@ a proposed jump at (s, z_j) is accepted iff u * hi < psi(s, z_j) with
 u ~ U[0,1). The engine samples one time cell at a time, so memory holds
 the jumps of one step, never the whole horizon. Each step is one proposal
 draw, sorted once by (stream, time) after the draws (propose_step), then
-one sort-free pass per psi row that thins with a mask and ranks with a
-running count (thin_step); lanes stepped in lockstep share the proposals,
+one sort-free pass per psi row that thins with a mask (thin_step), which
+keeps the jumps in that order and does not rank them (sample_step ranks
+them with a running count); lanes stepped in lockstep share the proposals,
 drawn at the run's rate bound, and each thins them with its own psi,
 scaled by its own eps (dynamics.simulate_lanes). Per step the draw order
 is fixed: Poisson proposal counts per cell for all streams together
@@ -125,19 +126,14 @@ def propose_step(
 
 
 def thin_step(proposal, psi_k: np.ndarray):
-    """Keep the proposals with u * hi < psi_k[cell] and rank them.
-
-    Returns (stream, time, cell, rank) in the proposals' (stream, time)
-    order, where rank is the occurrence index of a jump within its stream.
-    """
+    """Keep the proposals with u * hi < psi_k[cell]: (stream, time, cell) in
+    the proposals' (stream, time) order. The kept jumps are not ranked."""
     stream, time, cell, u_hi = proposal
     # integer gathers beat boolean compresses on a random keep mask
     keep = np.flatnonzero(u_hi < psi_k[cell])
     if keep.size < stream.size:
         stream, time, cell = (np.take(a, keep) for a in (stream, time, cell))
-    idx = np.arange(stream.size)
-    first = np.concatenate(([True], stream[1:] != stream[:-1]))
-    return stream, time, cell, idx - np.maximum.accumulate(np.where(first, idx, 0))
+    return stream, time, cell
 
 
 def sample_step(
@@ -150,9 +146,15 @@ def sample_step(
     n_streams: int,
     rng: np.random.Generator,
 ):
-    """Accepted jumps of one time cell: (stream, time, cell, rank, n_proposed)."""
+    """Accepted jumps of one time cell: (stream, time, cell, rank, n_proposed),
+    in (stream, time) order, where rank is the occurrence index of a jump
+    within its stream."""
     proposal = propose_step(intensity, rate_scale, t0, dt, hi, n_streams, rng)
-    return (*thin_step(proposal, psi_k), proposal[0].size)
+    stream, time, cell = thin_step(proposal, psi_k)
+    idx = np.arange(stream.size)
+    first = np.concatenate(([True], stream[1:] != stream[:-1]))
+    rank = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    return stream, time, cell, rank, proposal[0].size
 
 
 def _sample_thinned(

@@ -6,7 +6,9 @@ batch and t a scalar or (n,) array; diffusion returns a (d, d) matrix (or an
 or jump that does not read x may return one (d,) row instead: drift_rows and
 jump_rows broadcast it to every particle as a read-only view of row stride
 0, and the particle engine keeps the step's increment as one row until a
-per-particle term joins it (pure_jump has none). Laws arrive as LawSummary;
+per-particle term joins it (pure_jump has none). A jump that gives one (d,)
+row for a batch of jumps (whatever their times) is applied as that row to
+all of them. Laws arrive as LawSummary;
 models should read law.mean (broadcast against x) and law.cloud only if they
 truly need atoms: the skeletons and the rates freeze the law as one point
 mass per row, which has no cloud, and refuse them.

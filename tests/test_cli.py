@@ -298,6 +298,7 @@ _TARGET = "--target must be a finite number"
 _TOL = "tol must be a finite number >= 0"
 _DISTINCT = "eps values must be distinct"
 _JOBS = "jobs must be an integer >= 1"
+_SEED = "-1 is not in the range x>=0"
 
 
 @pytest.mark.parametrize(
@@ -332,6 +333,9 @@ _JOBS = "jobs must be an integer >= 1"
         (["verify-mdp", "--event", "half:1.0:0.5", "--target", "0.125", "--jobs", "0"],
          _JOBS),
         (["verify-limit", "--jobs", "-1"], _JOBS),
+        (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--seed", "-1"],
+         _SEED),
+        (["rate", "--event", "half:1.0:1.0", "--seed", "-1"], _SEED),
     ],
 )
 def test_invalid_numbers_exit_2(runner, args, message):
@@ -365,4 +369,25 @@ def test_malformed_files_exit_2(runner, tmp_path, args, name, body):
         f.write_text(body)
     out = runner.invoke(main, [a.format(f=f) for a in args])
     assert out.exit_code == 2, out.output
+    assert "Traceback" not in out.output
+
+
+_QUICK_RATE = ["rate", "--event", "half:1.0:1.0", "--steps", "20", "--cells", "2", "--starts", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--particles", "10", "--steps", "10", "--out", "{f}"],
+        ["simulate", "--particles", "10", "--steps", "10", "--mean-out", "{f}"],
+        ["skeleton", "--kind", "limit", "--steps", "10", "--path-out", "{f}"],
+        [*_QUICK_RATE, "--control-out", "{f}"],
+    ],
+)
+def test_unwritable_outputs_exit_2(runner, tmp_path, args):
+    # an output in a directory that does not exist
+    f = tmp_path / "missing" / "out.file"
+    out = runner.invoke(main, [a.format(f=f) for a in args])
+    assert out.exit_code == 2, out.output
+    assert "cannot write" in out.output
     assert "Traceback" not in out.output

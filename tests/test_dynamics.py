@@ -815,14 +815,20 @@ def test_read_ahead_keeps_the_bits(name):
 def _row_cases(name):
     """A model whose increment is one row until a per-particle term joins
     it: every term a row (pure_jump), a row drift then an (N, d)
-    compensator (pure_jump with a jump that reads x), or a law-only drift
-    on a sigma that is zero on some steps."""
+    compensator (pure_jump with a jump that reads x), a one-row compensator
+    with a jump that reads each jump's own time (pure_jump with G = 1 + t,
+    one row only at one time), or a law-only drift on a sigma that is zero
+    on some steps."""
     if name == "law_drift":
         spec = _switching_sigma_model()
         return dataclasses.replace(spec, drift=lambda t, x, law: 0.3 - 0.5 * law.mean)
     spec = get_model("pure_jump")
     if name == "jump_reads_x":
         spec = dataclasses.replace(spec, jump=lambda t, x, law, z: 1.0 - 0.5 * np.tanh(x))
+    if name == "jump_reads_t":
+        spec = dataclasses.replace(
+            spec, jump=lambda t, x, law, z: np.reshape(1.0 + np.asarray(t), (-1, 1))
+        )
     return spec
 
 
@@ -838,7 +844,7 @@ def _full_rows(spec):
     return dataclasses.replace(spec, drift=drift, jump=jump if spec.has_jumps else None)
 
 
-@pytest.mark.parametrize("name", ["all_rows", "jump_reads_x", "law_drift"])
+@pytest.mark.parametrize("name", ["all_rows", "jump_reads_x", "jump_reads_t", "law_drift"])
 def test_row_increment_matches_full_coefficients(name):
     # a lane whose terms are one (d,) row moves bit for bit as the same lane
     # with full (N, d) coefficients, plain and controlled, at two eps
@@ -858,6 +864,35 @@ def test_row_increment_matches_full_coefficients(name):
         assert a.terminal.tobytes() == b.terminal.tobytes()
         assert a.meta["n_jumps"] == b.meta["n_jumps"]
     assert all(r.meta["n_jumps"] > 0 for r in rows) == spec.has_jumps
+
+
+@pytest.mark.parametrize("name, rank_loop", [
+    ("pure_jump", False),
+    ("two_atoms", False),
+    ("logistic_mf", True),  # G reads x
+    ("jump_reads_t", True),  # G reads each jump's own time
+])
+def test_jumps_that_read_no_state_land_in_one_scatter(name, rank_loop, tmp_path, monkeypatch):
+    # a G that gives one row per mark cell skips the rank loop of _apply_jumps
+    import mvsde.dynamics as dynamics
+
+    calls = []
+    apply_jumps = dynamics._apply_jumps
+
+    def counting_apply_jumps(*args):
+        calls.append(args[0].size)
+        return apply_jumps(*args)
+
+    monkeypatch.setattr(dynamics, "_apply_jumps", counting_apply_jumps)
+    if name == "two_atoms":
+        spec = _affine_jump_model(tmp_path, 2)
+    elif name == "jump_reads_t":
+        spec = _row_cases(name)
+    else:
+        spec = get_model(name)
+    rungs = _ladder(spec)
+    assert all(r.meta["n_jumps"] > 0 for r in rungs)
+    assert (sum(calls) > 0) == rank_loop
 
 
 @pytest.fixture

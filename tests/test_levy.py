@@ -95,7 +95,8 @@ def _rank_by_sorting(proposal, psi_k, n_streams):
 def test_sort_free_ranks_match_the_sorting_reference():
     # dense two-cell proposals (about 18 per stream at hi = 2) on 2^8 + 1
     # streams; the reference sees them shuffled, so it cannot lean on the
-    # (stream, time) order that propose_step hands to thin_step
+    # (stream, time) order that propose_step hands to thin_step, while
+    # sample_step draws the same proposals from the same generator state
     m = two_cell()
     n_streams = 257
     rng = np.random.default_rng(21)
@@ -104,7 +105,8 @@ def test_sort_free_ranks_match_the_sorting_reference():
     shuffled = tuple(a[perm] for a in proposal)
     for psi_k in ([1.0, 1.0], [0.5, 2.0], [2.0, 2.0], [0.1, 1.3], [2.0, 0.0]):
         psi_k = np.array(psi_k)
-        got = thin_step(proposal, psi_k)
+        rng = np.random.default_rng(21)
+        got = sample_step(m, 3.0, 0.25, 2.0, psi_k, 2.0, n_streams, rng)[:4]
         by_rank = np.lexsort((got[0], got[3]))
         want = _rank_by_sorting(shuffled, psi_k, n_streams)
         for a, b in zip(got, want):
@@ -123,8 +125,9 @@ def test_shared_proposals_thin_monotonically():
     low_set = set(zip(low[0].tolist(), low[1].tolist()))
     assert low_set <= set(zip(high[0].tolist(), high[1].tolist()))
     solo = sample_step(m, 2.0, 0.0, 1.0, np.ones(2), 2.0, 500, np.random.default_rng(4))
-    for a, b in zip(solo, (*low, proposal[0].size)):
+    for a, b in zip(solo[:3], low):
         np.testing.assert_array_equal(a, b)
+    assert solo[4] == proposal[0].size
 
 
 def test_stream_totals_are_poisson():
