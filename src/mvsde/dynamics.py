@@ -21,10 +21,14 @@ only when some lane's sigma is not identically zero at that step; otherwise
 the Brownian substream is left untouched.
 
 The increment's standard normals come in one raw (N, d) block per noisy
-step, scaled by sqrt(dt) at that step. A block of at least _READ_AHEAD_MIN
-normals is read ahead by one worker thread per call (_ReadAhead) while the
-lanes move, into one extra (N, d) block; the blocks and their order are
-those of drawing each block inline at its step, so no bit changes. Smaller
+step, scaled by sqrt(dt) at that step, from the seed's Brownian substream,
+an SFC64 generator: the draw is the critical path of every run with
+sigma != 0, and numpy's normal sampler fills a block about 20 % faster from
+SFC64's bits than from PCG64's. The jump draws come from the PCG64 jump
+substream (rng). A block of at least _READ_AHEAD_MIN normals is read ahead
+by one worker thread per call (_ReadAhead) while the lanes move, into one
+extra (N, d) block; the blocks and their order are those of drawing each
+block inline at its step, so no bit changes. Smaller
 blocks are drawn inline, and a run whose sigma is zero at every step starts
 no thread. The worker stops before simulate_lanes returns or raises, and a
 draw that fails on it raises on the caller.
@@ -132,11 +136,12 @@ _PSI_FLOOR = 1e-3
 
 # Fewest normals (N * d) per block that a worker thread reads ahead; smaller
 # blocks are drawn inline, since handing a block between threads then costs
-# more than drawing it. Set at the measured crossover: example11, 3 lanes,
-# 400 steps, 2 vCPUs, medians of 11 in-process runs per pass, read-ahead
-# against inline: +16 to +28 ms at N = 3,000 to 5,000 (all passes), -10 to
-# +7 % at N = 6,000 (mixed), -1 to -7 % at N = 6,500 (4 of 4 passes),
-# -2 to -17 % at N = 8,192 and -18 to -20 % at N = 10,000. Every benchmark
+# more than drawing it. Set at the measured crossover, on the SFC64 draw:
+# example11, 3 lanes, 400 steps, 2 vCPUs, one BLAS thread, medians of 9
+# in-process runs per pass, read-ahead against inline, 2 passes: +29 to +31 %
+# at N = 3,000, +8 to +9 % at N = 5,000, +1 to +2 % at N = 6,000, -2 to -3 %
+# at N = 6,500, -12 to -13 % at N = 8,192 and -20 to -21 % at N = 10,000
+# (the PCG64 draw had put it at the same place). Every benchmark
 # workload that draws normals is above it (N = 1e5), so only these
 # in-process runs exercise the inline side.
 _READ_AHEAD_MIN = 6500
@@ -277,13 +282,20 @@ def _join(op, inc, term, out):
     return op(inc, term) if inc.ndim == term.ndim == 1 else op(inc, term, out=out)
 
 
+def _present_cells(cells, n_cells):
+    """The mark cells that occur in cells, in ascending order."""
+    seen = np.zeros(n_cells, dtype=bool)
+    seen[cells] = True
+    return np.flatnonzero(seen)
+
+
 def _jump_table(streams, times, cells, x, law, spec, eps):
     """eps * G as one (C, d) table, row c for mark cell c, when G gives one
     row over each present cell's jumps at their own times; else None. x
     (which law.cloud may be) is read only for the jumpers' rows, the batch
     that G is handed."""
     table = np.empty((spec.n_mark_cells, spec.dim))
-    present = np.flatnonzero(np.bincount(cells))
+    present = _present_cells(cells, spec.n_mark_cells)
     for j in present:
         sel = slice(None) if present.size == 1 else np.flatnonzero(cells == j)
         batch = np.take(x, streams[sel], axis=0)
@@ -322,7 +334,7 @@ def _apply_jumps(streams, times, cells, x, incr, law, spec, eps):
     slot = np.arange(movers.size)
     while now.size:
         cells_now = cells[now]
-        present = np.flatnonzero(np.bincount(cells_now))
+        present = _present_cells(cells_now, spec.n_mark_cells)
         for j in present:
             sel = slice(None) if present.size == 1 else np.flatnonzero(cells_now == j)
             # while slot is every mover (rank 0), one present cell adds in place

@@ -295,8 +295,8 @@ class _LdpProblem:
     """Objective plumbing shared by all starts of one ldp_rate call.
 
     Remembers its last evaluated point, so the gradient at an accepted
-    line-search point reuses that point's skeleton. Counts skeleton solves
-    and gradients for the trace.
+    line-search point reuses that point's control and skeleton. Counts
+    skeleton solves and gradients for the trace.
     """
 
     def __init__(self, spec, grid, event, config):
@@ -323,8 +323,12 @@ class _LdpProblem:
     def evaluate(self, params: np.ndarray):
         """-> (cost, excess, skeleton path | None); (inf, inf, None) when
         the skeleton solve raises a NumericError."""
+        return self._solve(params)[0]
+
+    def _solve(self, params: np.ndarray):
+        """-> (evaluate's answer, the Control) at params."""
         if self._last is not None and np.array_equal(self._last[0], params):
-            return self._last[1]
+            return self._last[1:]
         control = self.expand(params)
         self.solves += 1
         try:
@@ -334,8 +338,8 @@ class _LdpProblem:
         else:
             cost = q1_cost(control) + q2_cost(control, self.spec.intensity)
             out = (cost, self.event.excess(sol.path), sol.path)
-        self._last = (params.copy(), out)
-        return out
+        self._last = (params.copy(), out, control)
+        return out, control
 
     def gradient(self, params: np.ndarray, weight: float) -> np.ndarray:
         """Gradient of cost + weight * excess in the raw parameters, at a
@@ -353,11 +357,10 @@ class _LdpProblem:
             masses = self.spec.intensity.masses
             dtheta = theta * dpsi_dtheta * masses * self.cell_dt[:, None]
         if weight > 0.0:
-            _, _, path = self.evaluate(params)
+            (_, _, path), control = self._solve(params)
             node, cotangent = _excess_cotangent(self.event, path)
             dphi, dpsi = ldp_vjp(
-                self.spec, self.grid, self.expand(params), path, self.limit,
-                node, cotangent,
+                self.spec, self.grid, control, path, self.limit, node, cotangent
             )
             grad[: k * d] += weight * np.add.reduceat(dphi, self.first_fine).ravel()
             if c:

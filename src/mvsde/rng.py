@@ -3,9 +3,19 @@
 One master seed fans out through numpy's SeedSequence into two independent
 substreams, fixed in this order:
 
-    index 0 -> brownian increments
+    index 0 -> brownian increments, from an SFC64 generator
     index 1 -> jump sampling (per step: counts, stream indices, times,
-               acceptance uniforms; sorted by (stream, time) only after)
+               acceptance uniforms; sorted by (stream, time) only after),
+               from a PCG64 generator (np.random.default_rng)
+
+The Brownian draw is the critical path of every run with sigma != 0, and
+numpy's normal sampler (its ziggurat) fills 1e5 normals in about 0.73 ms
+from SFC64's bits against 0.90 ms from PCG64's (numpy 2.4, one Xeon core),
+so the Brownian child uses SFC64. The jump child stays on PCG64: its draws
+are not the bottleneck, and runs with sigma = 0 keep the realizations they
+had when both children were PCG64. A Gaussian run's realizations for a
+given seed therefore differ from those of versions that drew the Brownian
+child from PCG64, with the same law.
 
 Every simulation entry point takes the master seed; re-running with the same
 seed reproduces trajectories bit for bit, including the split between plain
@@ -42,7 +52,10 @@ class SeedBlock:
     @classmethod
     def from_seed(cls, seed: int) -> "SeedBlock":
         children = np.random.SeedSequence(seed).spawn(2)
-        return cls(np.random.default_rng(children[0]), np.random.default_rng(children[1]))
+        return cls(
+            np.random.Generator(np.random.SFC64(children[0])),
+            np.random.default_rng(children[1]),
+        )
 
 
 def derive_seed(master: int, label: str) -> int:

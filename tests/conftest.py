@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from mvsde.core import make_time_grid
 from mvsde.models import get_model
+from mvsde.rng import SeedBlock
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +43,17 @@ def degenerate_file(tmp_path):
         "diffusion": {"const": [[1, 0], [0, 0]]},
     }))
     return file
+
+
+@pytest.fixture
+def pcg64_brownian(monkeypatch):
+    """SeedBlock.from_seed with PCG64 on both children, the Brownian one
+    included: the stream that the engine's bit pins were taken on (by
+    reference code that is gone), so they keep checking that the engine's
+    arithmetic has not moved."""
+
+    def from_seed(cls, seed):
+        children = np.random.SeedSequence(seed).spawn(2)
+        return cls(np.random.default_rng(children[0]), np.random.default_rng(children[1]))
+
+    monkeypatch.setattr(SeedBlock, "from_seed", classmethod(from_seed))

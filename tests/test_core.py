@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import mvsde.dynamics as dynamics
 from mvsde.core import (
     Control,
     LawSummary,
@@ -155,6 +158,50 @@ def test_seed_block_split_is_stable():
     assert not np.allclose(
         c.brownian.standard_normal(5), SeedBlock.from_seed(123).jumps.standard_normal(5)
     )
+
+
+def test_seed_block_draws_brownian_from_sfc64_and_jumps_from_pcg64():
+    for seed in (0, 123):
+        children = np.random.SeedSequence(seed).spawn(2)
+        block = SeedBlock.from_seed(seed)
+        np.testing.assert_array_equal(
+            block.brownian.standard_normal(1000),
+            np.random.Generator(np.random.SFC64(children[0])).standard_normal(1000),
+        )
+        np.testing.assert_array_equal(
+            block.jumps.random(1000),
+            np.random.Generator(np.random.PCG64(children[1])).random(1000),
+        )
+
+
+def _terminal_sha256(rungs):
+    h = hashlib.sha256()
+    for r in rungs:
+        h.update(r.terminal.tobytes())
+    return h.hexdigest()
+
+
+def test_gaussian_ladder_keeps_its_bits(example11):
+    # pins the production stream: SFC64 normals under the Euler engine
+    lanes = [Lane(eps) for eps in (0.2, 0.1, 0.05)]
+    rungs = simulate_lanes(example11, make_time_grid(1.0, 50), lanes, 2000, seed=11)
+    assert _terminal_sha256(rungs) == (
+        "ea8827cc1c7f00d382c2dd302e1a268f3a6d6bb81b42c8bb63b439887f6e4bcd"
+    )
+
+
+@pytest.mark.parametrize("model", ["example11", "logistic_mf"])
+def test_read_ahead_draws_the_inline_bytes(model, monkeypatch):
+    # at 10,000 particles the blocks are read ahead by a worker thread; with
+    # the threshold above the block size they are drawn inline at each step
+    n_particles = 10_000
+    assert n_particles >= dynamics._READ_AHEAD_MIN
+    spec, grid = get_model(model), make_time_grid(1.0, 40)
+    lanes = [Lane(0.2), Lane(0.05)]
+    ahead = simulate_lanes(spec, grid, lanes, n_particles, seed=5)
+    monkeypatch.setattr(dynamics, "_READ_AHEAD_MIN", n_particles * spec.dim + 1)
+    inline = simulate_lanes(spec, grid, lanes, n_particles, seed=5)
+    assert _terminal_sha256(ahead) == _terminal_sha256(inline)
 
 
 def test_derive_seed_is_deterministic_and_label_sensitive():
