@@ -1,7 +1,7 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 invalid input or usage, 3 numerical failure,
-4 a verification gate did not pass.
+Exit codes: 0 success, 2 invalid input or usage, 3 numerical failure or
+out of memory, 4 a verification gate did not pass.
 
 Event grammar for --event:
     pin:V[,V...]:TOL     terminal pin to the point (V,...) within TOL
@@ -10,8 +10,12 @@ Event grammar for --event:
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import pickle
 import sys
+import warnings
 from dataclasses import asdict
 
 import click
@@ -63,6 +67,9 @@ def _guarded(fn):
             sys.exit(3)
         except MvsdeError as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
             sys.exit(3)
 
     return wrapper
@@ -337,23 +344,113 @@ def _verify_common(fn):
         "--target",
         default="auto",
         show_default=True,
-        help="Rate target: a number, or 'auto' to optimize it first.",
+        help="Rate target: a number, or 'auto' to optimize it while the ladder runs.",
     )(fn)
     fn = click.option("--tol", default=0.05, show_default=True)(fn)
     fn = jobs_option(fn)
     return fn
 
 
+class _RemoteTraceback(Exception):
+    """The traceback of an error raised in the --target auto process,
+    shown as the cause of the error the parent raises again."""
+
+
+@contextlib.contextmanager
 def _resolve_target(target, compute):
-    if str(target) == "auto":
-        return float(compute())
+    """Yield the --target value: the number given, or for 'auto' a
+    zero-argument callable that returns compute()'s value. The ladder calls
+    it once, after its simulation; a forked child computes the value while
+    the with-block runs, and the callable waits for it. Where os.fork does
+    not exist, or the fork or its pipe fails, the callable is compute itself.
+
+    The fork is safe: no mvsde thread exists at fork time, because
+    dynamics.simulate_lanes always joins its read-ahead worker before it
+    returns. Python >= 3.12 still warns on a fork while a BLAS pool has
+    threads; the warning is shown, but never raised, since by then the
+    child exists. The child sends (ok, value or exception, traceback text)
+    through a pipe and leaves by os._exit, past atexit handlers and
+    inherited buffers. If the with-block raises, the child's error still
+    comes first, as when the target ran before the ladder; an interrupt
+    kills the child. The child is reaped on every path.
+    """
+    if str(target) != "auto":
+        try:
+            value = float(target)
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise InvalidArgumentError(
+                f"--target must be a finite number or 'auto': {target!r}"
+            )
+        yield value
+        return
+    fds = None
+    if hasattr(os, "fork"):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            fds = os.pipe()
+            with warnings.catch_warnings():
+                warnings.simplefilter("always", DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # no process or pipe to spare: compute inline
+            for fd in fds or ():
+                os.close(fd)
+            fds = None
+    if fds is None:
+        yield compute
+        return
+    read_end, write_end = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                result = (True, compute(), None)
+            except BaseException as exc:
+                import traceback
+
+                result = (False, exc, traceback.format_exc())
+            with os.fdopen(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    pipe = os.fdopen(read_end, "rb")
+    outcome = []
+
+    def wait():
+        if not outcome:
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            try:
+                ok, value, text = pickle.loads(data)
+            except Exception:
+                code = os.waitstatus_to_exitcode(status)
+                ok, value, text = False, MvsdeError(
+                    f"the --target auto process ended without a result (exit status {code})"
+                ), None
+            outcome.append((ok, value, text and _RemoteTraceback(f'\n"""\n{text}"""')))
+        ok, value, remote = outcome[0]
+        if not ok:
+            raise value from remote
+        return value
+
     try:
-        value = float(target)
-    except ValueError:
-        value = float("nan")
-    if not np.isfinite(value):
-        raise InvalidArgumentError(f"--target must be a finite number or 'auto': {target!r}")
-    return value
+        yield wait
+    except Exception:
+        wait()
+        raise
+    finally:
+        pipe.close()
+        if not outcome:  # interrupted before the wait: stop the child
+            import signal  # here, off every command's start-up (0.4 ms)
+
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _finish_verify(report, out, command, **params):
@@ -389,16 +486,14 @@ def verify_ldp_cmd(
     grid = make_time_grid(horizon, steps)
     event = parse_event(event_text, spec.dim)
     eps_values = _parse_floats(eps_list, "--eps-list")
-    target_value = _resolve_target(
-        target,
-        lambda: ldp_rate(
-            spec, grid, event, OptimizerConfig(control_cells=cells, seed=seed)
-        ).value,
-    )
-    report = check_ldp(
-        spec, grid, eps_values, event, particles, seed,
-        target=target_value, tol=tol, jobs=jobs,
-    )
+    config = OptimizerConfig(control_cells=cells, seed=seed)
+    with _resolve_target(
+        target, lambda: ldp_rate(spec, grid, event, config).value
+    ) as target_value:
+        report = check_ldp(
+            spec, grid, eps_values, event, particles, seed,
+            target=target_value, tol=tol, jobs=jobs,
+        )
     _finish_verify(
         report, out, "verify-ldp",
         model=model_name, eps_list=eps_values, event=event_text,
@@ -430,13 +525,13 @@ def verify_mdp_cmd(
     grid = make_time_grid(horizon, steps)
     event = parse_event(event_text, spec.dim)
     eps_values = _parse_floats(eps_list, "--eps-list")
-    target_value = _resolve_target(
+    with _resolve_target(
         target, lambda: mdp_rate(spec, grid, event).value
-    )
-    report = check_mdp(
-        spec, grid, eps_values, event, particles, seed,
-        a_exp=a_exp, target=target_value, tol=tol, jobs=jobs,
-    )
+    ) as target_value:
+        report = check_mdp(
+            spec, grid, eps_values, event, particles, seed,
+            a_exp=a_exp, target=target_value, tol=tol, jobs=jobs,
+        )
     _finish_verify(
         report, out, "verify-mdp",
         model=model_name, eps_list=eps_values, event=event_text,

@@ -32,13 +32,18 @@ splitting the rungs into thread groups that each draw them again cost
 2 vCPUs). The second core serves the simulation itself instead: a worker
 thread draws the next step's Brownian block while the rungs move, the
 same blocks in the same order, for one extra (N, d) block; blocks below
-dynamics._READ_AHEAD_MIN normals are drawn inline.
+dynamics._READ_AHEAD_MIN normals are drawn inline. The second core also
+serves the target: check_ldp and check_mdp take it as a number or as a
+zero-argument callable, called once after the simulation, and the CLI's
+--target auto passes one that waits for a forked process computing the
+rate while the ladder runs.
 
 The limit check's terminal W2 distance to the point mass at xbar(T) is the
 closed form sqrt(mean_i |X_i(T) - xbar(T)|^2): every coupling costs the same.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -159,7 +164,8 @@ def _add_warnings(details: dict, ensembles) -> dict:
 
 def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> SlopeReport:
     """Slope rows of the rungs' ensembles at the given speeds (and moderate
-    scales a, or None), their extrapolated fit, and the gate at target."""
+    scales a, or None), their extrapolated fit, and the gate at target (a
+    number, a zero-argument callable that returns it, or None)."""
     rows = []
     for ens, h, a in zip(ensembles, speeds, scale_a):
         n = ens.n_particles
@@ -179,6 +185,8 @@ def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> Slope
         details["boundary_gap_per_eps"] = _boundary_gaps(event, [e.terminal for e in ensembles])
     _add_warnings(details, ensembles)
     passed = None
+    if callable(target):
+        target = float(target())
     if target is not None:
         tol = 0.05 if tol is None else tol
         passed = bool(np.isfinite(intercept) and abs(intercept - target) <= tol)
@@ -220,11 +228,12 @@ def check_ldp(
     event: EventSpec,
     n_particles: int,
     seed: int,
-    target: float | None = None,
+    target: float | Callable[[], float] | None = None,
     tol: float | None = None,
     jobs: int = 1,
 ) -> SlopeReport:
-    """Estimate the small-noise rate of an event by slope extrapolation."""
+    """Estimate the small-noise rate of an event by slope extrapolation.
+    A callable target is called once, after the simulation."""
     eps_list = _validate_eps_list(eps_list)
     _check_jobs(jobs)
     _check_tol(tol)
@@ -244,14 +253,15 @@ def check_mdp(
     n_particles: int,
     seed: int,
     a_exp: float = 0.25,
-    target: float | None = None,
+    target: float | Callable[[], float] | None = None,
     tol: float | None = None,
     jobs: int = 1,
 ) -> SlopeReport:
     """Estimate the moderate rate of a fluctuation event, a(eps) = eps^a_exp.
 
     The event is read in fluctuation coordinates M = (X - xbar) / a; samples
-    come from the particle system under the null control.
+    come from the particle system under the null control. A callable target
+    is called once, after the simulation.
     """
     eps_list = _validate_eps_list(eps_list)
     _check_jobs(jobs)

@@ -1,12 +1,21 @@
 import json
+import os
+import pickle
+import time
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mvsde import cli
+from mvsde import cli, verify
 from mvsde.cli import main, parse_event
-from mvsde.errors import InvalidArgumentError
+from mvsde.errors import (
+    DivergenceError,
+    InvalidArgumentError,
+    NoConvergenceError,
+    NumericError,
+)
 from mvsde.rate import EventSpec
 
 
@@ -391,3 +400,195 @@ def test_unwritable_outputs_exit_2(runner, tmp_path, args):
     assert out.exit_code == 2, out.output
     assert "cannot write" in out.output
     assert "Traceback" not in out.output
+
+
+# --target auto: the rate runs in a forked child while the ladder runs
+
+_JUMP_AUTO = [
+    "verify-ldp", "--model", "pure_jump", "--event", "half:1.0:1.0",
+    "--eps-list", "0.2,0.1", "--particles", "300", "--steps", "20",
+    "--seed", "3", "--tol", "10",
+]
+_MDP_AUTO = [
+    "verify-mdp", "--event", "half:1.0:0.5", "--eps-list", "0.01,0.004",
+    "--particles", "500", "--steps", "20", "--seed", "1", "--tol", "10",
+]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Spy on os.fork and os.waitpid; yields (forked pids, reaped pids)."""
+    forked, reaped = [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def spy_fork():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    def spy_waitpid(pid, options):
+        out = waitpid(pid, options)
+        if out[0] == pid:
+            reaped.append(pid)
+        return out
+
+    monkeypatch.setattr(os, "fork", spy_fork)
+    monkeypatch.setattr(os, "waitpid", spy_waitpid)
+    yield forked, reaped
+    assert sorted(forked) == sorted(reaped)
+    for pid in forked:
+        with pytest.raises(ChildProcessError):
+            waitpid(pid, os.WNOHANG)
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+
+    return fn
+
+
+@pytest.mark.parametrize("args", [_JUMP_AUTO, _MDP_AUTO], ids=["ldp", "mdp"])
+def test_auto_target_inline_path_writes_the_forked_report(
+    runner, tmp_path, monkeypatch, forks, args
+):
+    forked = tmp_path / "forked.json"
+    out = runner.invoke(main, args + ["--out", str(forked)])
+    assert out.exit_code in (0, 4), out.output
+    assert len(forks[0]) == 1
+    monkeypatch.delattr(os, "fork")
+    inline = tmp_path / "inline.json"
+    out2 = runner.invoke(main, args + ["--out", str(inline)])
+    assert out2.exit_code == out.exit_code, out2.output
+    assert inline.read_bytes() == forked.read_bytes()
+    assert out2.output.replace("inline.json", "forked.json") == out.output
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_auto_target_error_exits_3_with_its_message(runner, monkeypatch, forks, fork):
+    monkeypatch.setattr(cli, "ldp_rate", _raise(NumericError("optimizer blew up")))
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 3, out.output
+    assert out.output == "numerical failure: optimizer blew up\n"
+
+
+def test_auto_target_error_comes_before_the_ladder_error(runner, monkeypatch, forks):
+    # the target used to run first, so its error wins over the ladder's
+    monkeypatch.setattr(cli, "ldp_rate", _raise(NumericError("optimizer blew up")))
+    monkeypatch.setattr(cli, "check_ldp", _raise(InvalidArgumentError("ladder broke")))
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 3
+    assert out.output == "numerical failure: optimizer blew up\n"
+
+
+def test_ladder_error_under_auto_target_keeps_its_message(runner, forks):
+    out = runner.invoke(main, _JUMP_AUTO[:5] + ["--eps-list", "0.1"] + _JUMP_AUTO[7:])
+    assert out.exit_code == 2, out.output
+    assert out.output == "error: verification needs at least two eps values\n"
+    assert len(forks[0]) == 1
+
+
+def test_typed_errors_cross_the_pipe_with_their_attributes(runner, monkeypatch, forks):
+    # BaseException pickles its __dict__ next to args, so step and residual
+    # survive without a __reduce__ of their own
+    for exc in (DivergenceError("went to infinity", step=5),
+                NoConvergenceError("stalled", residual=0.25)):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and back.args == exc.args
+        assert back.__dict__ == exc.__dict__
+    monkeypatch.setattr(cli, "ldp_rate", _raise(DivergenceError("went to infinity", step=5)))
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 3
+    assert out.output == "numerical failure: went to infinity\n"
+
+
+def test_auto_target_child_without_a_result_exits_3(runner, monkeypatch, forks):
+    monkeypatch.setattr(cli, "ldp_rate", lambda *args: os._exit(7))
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 3
+    assert out.output == (
+        "error: the --target auto process ended without a result (exit status 7)\n"
+    )
+
+
+def test_interrupted_ladder_kills_and_reaps_the_target(runner, monkeypatch, forks):
+    monkeypatch.setattr(cli, "ldp_rate", lambda *args: time.sleep(60))
+    monkeypatch.setattr(verify, "simulate_lanes", _raise(KeyboardInterrupt()))
+    start = time.perf_counter()
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 1 and "Aborted!" in out.output
+    assert time.perf_counter() - start < 30
+    assert len(forks[0]) == 1
+
+
+@pytest.mark.parametrize("where", ["ladder", "target"])
+def test_out_of_memory_exits_3(runner, monkeypatch, forks, where):
+    oom = _raise(MemoryError("Unable to allocate 8.00 GiB"))
+    monkeypatch.setattr(cli, "check_ldp" if where == "ladder" else "ldp_rate", oom)
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 3
+    assert out.output == "error: out of memory: Unable to allocate 8.00 GiB\n"
+
+
+def test_auto_target_computes_inline_when_the_fork_fails(runner, tmp_path, monkeypatch):
+    pipes = []
+    pipe = os.pipe
+
+    def spy_pipe():
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", spy_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    failed = tmp_path / "failed.json"
+    out = runner.invoke(main, _JUMP_AUTO + ["--out", str(failed)])
+    assert out.exit_code in (0, 4), out.output
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    monkeypatch.delattr(os, "fork")
+    inline = tmp_path / "inline.json"
+    out2 = runner.invoke(main, _JUMP_AUTO + ["--out", str(inline)])
+    assert out2.exit_code == out.exit_code, out2.output
+    assert inline.read_bytes() == failed.read_bytes()
+
+
+def test_fork_warning_is_shown_not_raised(runner, monkeypatch, forks):
+    # Python >= 3.12 warns in the parent, after the child exists, when it
+    # forks a process with threads; the suite turns warnings into errors
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with pytest.warns(DeprecationWarning, match="multi-threaded"):
+        warnings.simplefilter("error", DeprecationWarning)
+        out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code in (0, 4), out.output
+    assert len(forks[0]) == 1
+
+
+def _optimizer_with_a_bug(*args):
+    return 1 / 0
+
+
+def test_unexpected_target_error_keeps_the_child_traceback(runner, monkeypatch, forks):
+    monkeypatch.setattr(cli, "ldp_rate", _optimizer_with_a_bug)
+    out = runner.invoke(main, _JUMP_AUTO)
+    assert out.exit_code == 1
+    assert isinstance(out.exception, ZeroDivisionError)
+    remote = out.exception.__cause__
+    assert type(remote).__name__ == "_RemoteTraceback"
+    assert "_optimizer_with_a_bug" in str(remote)
+    assert "ZeroDivisionError: division by zero" in str(remote)

@@ -224,6 +224,16 @@ def test_divergence_guard_trips_just_past_the_limit():
     assert err.value.step == 7
 
 
+def test_divergence_guard_trips_on_one_far_entry_in_a_large_cloud():
+    # one entry twice past the limit among 1e5 ordinary ones; a check that
+    # first accepts a cloud by its sum of squares must still trip here
+    cloud = np.random.default_rng(0).standard_normal((100_000, 1))
+    cloud[31_337, 0] = 2e10
+    with pytest.raises(DivergenceError) as err:
+        _guard(cloud, 11, "particle system")
+    assert err.value.step == 11
+
+
 def test_divergence_guard_passes_a_large_cloud_within_the_limit():
     # every entry sits exactly on the limit, which the guard still allows,
     # although the cloud's norm is twice the limit
