@@ -21,17 +21,24 @@ only when some lane's sigma is not identically zero at that step; otherwise
 the Brownian substream is left untouched.
 
 The increment's standard normals come in one raw (N, d) block per noisy
-step, scaled by sqrt(dt) at that step, from the seed's Brownian substream,
-an SFC64 generator: the draw is the critical path of every run with
-sigma != 0, and numpy's normal sampler fills a block about 20 % faster from
-SFC64's bits than from PCG64's. The jump draws come from the PCG64 jump
-substream (rng). A block of at least _READ_AHEAD_MIN normals is read ahead
-by one worker thread per call (_ReadAhead) while the lanes move, into one
-extra (N, d) block; the blocks and their order are those of drawing each
-block inline at its step, so no bit changes. Smaller
-blocks are drawn inline, and a run whose sigma is zero at every step starts
-no thread. The worker stops before simulate_lanes returns or raises, and a
-draw that fails on it raises on the caller.
+step, scaled by sqrt(dt) at that step, from the seed's Brownian substream
+(rng.BrownianBands): a block of at least rng._BANDED_MIN normals in
+rng._BANDS fixed row bands, band i from its own SFC64 generator, a smaller
+one whole from one SFC64 generator. The draw is the critical path of every
+run with sigma != 0. The jump draws come from the PCG64 jump substream. A
+block of at least _READ_AHEAD_MIN normals is read ahead by one worker
+thread per call (_ReadAhead) while the lanes move, into one extra (N, d)
+block, and the two threads share it: the worker takes the block's bands
+in order from a shared queue, and when the lanes are done first, the main
+thread draws the bands still queued and waits only for the band the
+worker is drawing. Each band comes from its own generator, in block
+order, so the bits depend on the seed, N and d only, not on which thread
+drew a band, nor on _READ_AHEAD_MIN. Smaller blocks are drawn inline, and
+a run whose sigma is zero at every step starts no thread. The worker stops
+before simulate_lanes returns or raises, and a draw that fails on either
+thread raises on the caller. Before its first allocation, simulate_lanes
+adds up the buffers it will hold and refuses a run that cannot fit in
+memory (_check_memory).
 
 Per step k, with the law frozen at the left endpoint:
 
@@ -100,6 +107,10 @@ A(t) = d_x b(t, xbar, d_xbar), the law frozen at the noise-free solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
+import math
+import os
+import sys
 import threading
 
 import numpy as np
@@ -136,15 +147,103 @@ _PSI_FLOOR = 1e-3
 
 # Fewest normals (N * d) per block that a worker thread reads ahead; smaller
 # blocks are drawn inline, since handing a block between threads then costs
-# more than drawing it. Set at the measured crossover, on the SFC64 draw:
-# example11, 3 lanes, 400 steps, 2 vCPUs, one BLAS thread, medians of 9
-# in-process runs per pass, read-ahead against inline, 2 passes: +29 to +31 %
-# at N = 3,000, +8 to +9 % at N = 5,000, +1 to +2 % at N = 6,000, -2 to -3 %
-# at N = 6,500, -12 to -13 % at N = 8,192 and -20 to -21 % at N = 10,000
-# (the PCG64 draw had put it at the same place). Every benchmark
-# workload that draws normals is above it (N = 1e5), so only these
-# in-process runs exercise the inline side.
+# more than drawing it. Set at the measured crossover, on the one-generator
+# SFC64 draw that every block below rng._BANDED_MIN uses: example11, 3
+# lanes, 400 steps, 2 vCPUs, one BLAS thread, medians of 9 in-process runs
+# per pass, read-ahead against inline, 2 passes: +33 to +34 % at N = 3,000,
+# +9 to +10 % at N = 5,000, +2 to +4 % at N = 6,000, -0.3 to +0.7 % at
+# N = 6,500, -3 to -4 % at N = 7,000, -11 to -12 % at N = 8,192 and -19 %
+# at N = 10,000 (before blocks were shared between the threads, and on the
+# PCG64 draw, it was at the same place). It must stay below
+# rng._BANDED_MIN: a banded block drawn inline pays for its bands and
+# gains nothing. Every benchmark workload that draws normals is above both
+# (N = 1e5), so only in-process runs, such as demo-example11 at its default
+# 10,000 particles, exercise the one-generator read-ahead, and only smaller
+# ones the inline side.
 _READ_AHEAD_MIN = 6500
+
+# Whether the caller draws the queued bands of a block read ahead: only
+# under the GIL, which makes the shared queue safe (see _ReadAhead).
+_CALLER_DRAWS = getattr(sys, "_is_gil_enabled", lambda: True)()
+
+
+def _memory_limit() -> int | None:
+    """Bytes of memory this process can use: the machine's physical memory,
+    or the smallest cgroup limit on the way from this process's cgroup to
+    the root when that is smaller; None where the platform does not report
+    its physical memory. Free memory is no limit: it shrinks as the page
+    cache grows, and the kernel hands the cache back."""
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return min([limit, *_cgroup_caps()])
+
+
+def _cgroup_caps() -> list:
+    """The memory limits set on this process's cgroup and its ancestors, as
+    /proc/self/cgroup names them: memory.max under cgroup v2 (the "0::"
+    line), memory.limit_in_bytes under a v1 memory controller. A limit file
+    that is missing or reads "max" sets none."""
+    try:
+        with open("/proc/self/cgroup") as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    caps = []
+    for line in lines:
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if controllers == "":
+            root, name = "/sys/fs/cgroup", "memory.max"
+        elif "memory" in controllers.split(","):
+            root, name = "/sys/fs/cgroup/memory", "memory.limit_in_bytes"
+        else:
+            continue
+        parts = [p for p in path.split("/") if p]
+        for depth in range(len(parts), -1, -1):
+            try:
+                with open(os.path.join(root, *parts[:depth], name)) as fh:
+                    cap = fh.read().strip()
+            except OSError:
+                continue
+            if cap.isdigit():
+                caps.append(int(cap))
+    return caps
+
+
+def _check_memory(lanes, spec: ModelSpec, grid: TimeGrid, n_particles: int, jump_rate: float):
+    """Refuse a run whose buffers cannot fit in memory, before any of them is
+    allocated: the lanes' clouds, the three step buffers and the read-ahead
+    spare, the recorders, and one step's proposed jumps at jump_rate * nu
+    per particle. Temporaries that the model's coefficients return are not
+    counted."""
+    limit = _memory_limit()
+    if limit is None:
+        return
+    n_nodes, block = grid.n_steps + 1, 8.0 * n_particles * spec.dim
+    need = (len(lanes) + 4) * block
+    for lane in lanes:
+        if lane.record == "full":
+            need += n_nodes * block
+        elif lane.record == "mean":
+            need += 8.0 * n_nodes * spec.dim
+        if lane.reference is not None:
+            need += 16.0 * n_particles  # sup_sq and the squared distances
+    if spec.has_jumps:
+        # the proposals of the longest step, Poisson, bounded by mean + 10 sd;
+        # each holds about 16 + 4 d 8-byte words at once (propose_step's
+        # arrays and sort key, a lane's thinned copy, the scatter's indices
+        # and values)
+        mean = n_particles * jump_rate * float(np.sum(spec.intensity.masses) * grid.dt.max())
+        need += (mean + 10.0 * math.sqrt(mean)) * 8.0 * (16 + 4 * spec.dim)
+    if need > limit:
+        raise InvalidArgumentError(
+            f"the run needs about {need / 2**20:,.0f} MiB of memory, more than "
+            f"the {limit / 2**20:,.0f} MiB this process may use"
+        )
 
 
 @dataclass
@@ -347,35 +446,65 @@ def _apply_jumps(streams, times, cells, x, incr, law, spec, eps):
 
 
 class _ReadAhead:
-    """The Brownian generator's standard normals, one (N, d) block per noisy
-    step, in the generator's own order. When a block holds at least
-    _READ_AHEAD_MIN normals, one worker thread draws the block after the one
-    handed out into a spare block while the caller moves the lanes; the
-    worker starts at the first block read ahead. Use it as a context
-    manager: leaving the with statement stops the worker."""
+    """The Brownian substream's standard normals, one (N, d) block per noisy
+    step, each block drawn as the bands of rng.BrownianBands (one band when
+    the block is too small to band). When a block holds at least
+    _READ_AHEAD_MIN normals, one worker thread draws the block after the
+    one handed out into a spare block while the caller moves the lanes: it
+    takes the block's bands in order from a queue shared with the caller
+    until none is left. A caller that asks for the block before the worker
+    is done takes and draws the bands still queued, then waits only for the
+    band that the worker is drawing. The worker starts at the first block
+    read ahead. Use it as a context manager: leaving the with statement
+    stops the worker.
 
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
+    The queue is a builtin iterator and the count of bands drawn an
+    itertools.count: next() on either runs whole under the GIL (threading
+    counts its thread names the same way), so each band is taken once and
+    counted once without a lock; a lock-guarded counter measured 2 % slower
+    on the demo at N = 10,000. Without a GIL (a free-threaded build) next()
+    gives no such guarantee, so there the caller leaves every band to the
+    worker."""
+
+    def __init__(self, normals, n_rows: int, width: int):
+        self._normals = normals
+        self._bands = normals.bands(n_rows, width)
         self._spare = None  # the block the worker draws into
         self._worker = None
         self._pending = False  # the worker holds or draws the next block
+        # the pending block's bands not yet taken, and the count of its
+        # bands drawn
+        self._queue, self._drawn = iter(()), itertools.count(1)
         self._error = None
         self._closed = False
         self._go = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)  # released when the last band is drawn
+
+    def _draw_queued(self):
+        """Take and draw the pending block's queued bands until none is left."""
+        for band, rows in self._queue:
+            try:
+                self._normals.standard_normal(out=self._spare[rows], band=band)
+            except BaseException as exc:  # re-raised on the caller
+                self._error = exc
+            if next(self._drawn) == len(self._bands):
+                self._done.release()
 
     def next_into(self, buf: np.ndarray, more: bool) -> np.ndarray:
         """The next block: buf filled inline, or the block read ahead, which
         takes the place of buf (buf becomes the spare). When more is true,
         the worker starts drawing the block after."""
         if self._pending:
+            if _CALLER_DRAWS:
+                self._draw_queued()
             self._done.acquire()
             self._pending = False
             if self._error is not None:
                 raise self._error
             buf, self._spare = self._spare, buf
         else:
-            self._gen.standard_normal(out=buf)
+            for band, rows in self._bands:
+                self._normals.standard_normal(out=buf[rows], band=band)
         if more and buf.size >= _READ_AHEAD_MIN:
             if self._worker is None:
                 self._spare = np.empty_like(buf)
@@ -383,20 +512,19 @@ class _ReadAhead:
                     target=self._draw, name="mvsde-read-ahead", daemon=True
                 )
                 self._worker.start()
+            self._queue, self._drawn = iter(self._bands), itertools.count(1)
             self._pending = True
             self._go.release()
         return buf
 
     def _draw(self):
+        # one release of _go per block read ahead; the caller may have drawn
+        # every band of it by the time the worker wakes
         while True:
             self._go.acquire()
             if self._closed:
                 return
-            try:
-                self._gen.standard_normal(out=self._spare)
-            except BaseException as exc:  # re-raised on the caller
-                self._error = exc
-            self._done.release()
+            self._draw_queued()
 
     def __enter__(self):
         return self
@@ -442,6 +570,7 @@ def simulate_lanes(
     thin_psi = [ctl.psi * f for ctl, f in zip(controls, scale)]
 
     n, d, big_n = grid.n_steps, spec.dim, n_particles
+    _check_memory(lanes, spec, grid, big_n, hi / eps_ref)
     sb = SeedBlock.from_seed(seed)
     n_jumps = [0] * len(lanes)
     n_proposed = 0
@@ -463,7 +592,7 @@ def simulate_lanes(
     order = [i for i in range(len(lanes)) if i not in law_sources] + sorted(law_sources)
 
     dts = grid.dt
-    with _ReadAhead(sb.brownian) as normals:
+    with _ReadAhead(sb.brownian, big_n, d) as normals:
         for k in range(n):
             t_k = float(grid.nodes[k])
             dt = float(dts[k])

@@ -30,13 +30,18 @@ one simulation over all the rungs draws each step's increments once, while
 splitting the rungs into thread groups that each draw them again cost
 8.6 % more peak memory for 9 % less wall time (3-rung ladder, N = 1e5,
 2 vCPUs). The second core serves the simulation itself instead: a worker
-thread draws the next step's Brownian block while the rungs move, the
-same blocks in the same order, for one extra (N, d) block; blocks below
-dynamics._READ_AHEAD_MIN normals are drawn inline. The second core also
-serves the target: check_ldp and check_mdp take it as a number or as a
-zero-argument callable, called once after the simulation, and the CLI's
---target auto passes one that waits for a forked process computing the
-rate while the ladder runs.
+thread draws the next step's Brownian block while the rungs move, and the
+main thread draws the bands of the block (rng.BrownianBands: row bands
+from rng._BANDED_MIN normals on, else the whole block) that the worker has
+not reached when the rungs are done first; each band has its own
+generator, so the bits do not depend on which thread drew it. It costs one
+extra (N, d) block; blocks below dynamics._READ_AHEAD_MIN normals are
+drawn inline.
+The second core also serves the target: check_ldp and check_mdp take it
+as a number or as a zero-argument callable, called once after the
+simulation, and the CLI's --target auto passes one that waits for a forked
+process computing the rate while the ladder runs; until that process ends,
+the read-ahead worker shares the second core with it.
 
 The limit check's terminal W2 distance to the point mass at xbar(T) is the
 closed form sqrt(mean_i |X_i(T) - xbar(T)|^2): every coupling costs the same.

@@ -5,7 +5,7 @@ import pytest
 
 from mvsde.core import make_time_grid
 from mvsde.models import get_model
-from mvsde.rng import SeedBlock
+from mvsde.rng import BrownianBands, SeedBlock
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +48,14 @@ def degenerate_file(tmp_path):
 @pytest.fixture
 def pcg64_brownian(monkeypatch):
     """SeedBlock.from_seed with PCG64 on both children, the Brownian one
-    included: the stream that the engine's bit pins were taken on (by
+    included, and no band generators (every block whole from one
+    generator): the stream that the engine's bit pins were taken on (by
     reference code that is gone), so they keep checking that the engine's
     arithmetic has not moved."""
 
     def from_seed(cls, seed):
         children = np.random.SeedSequence(seed).spawn(2)
-        return cls(np.random.default_rng(children[0]), np.random.default_rng(children[1]))
+        brownian = BrownianBands(np.random.default_rng(children[0]))
+        return cls(brownian, np.random.default_rng(children[1]))
 
     monkeypatch.setattr(SeedBlock, "from_seed", classmethod(from_seed))

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import re
 import time
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from mvsde import cli, verify
+from mvsde import cli, dynamics, verify
 from mvsde.cli import main, parse_event
 from mvsde.errors import (
     DivergenceError,
@@ -592,3 +593,40 @@ def test_unexpected_target_error_keeps_the_child_traceback(runner, monkeypatch, 
     assert type(remote).__name__ == "_RemoteTraceback"
     assert "_optimizer_with_a_bug" in str(remote)
     assert "ZeroDivisionError: division by zero" in str(remote)
+
+
+_OVER_BUDGET = [
+    ["simulate", "--particles", "100000", "--steps", "2"],
+    [
+        "verify-ldp", "--model", "pure_jump", "--event", "half:1.0:1.0",
+        "--eps-list", "0.2,0.1", "--particles", "100000", "--steps", "2", "--target", "0.4",
+    ],
+    [
+        "verify-mdp", "--event", "half:1.0:0.5", "--eps-list", "0.01,0.004",
+        "--particles", "100000", "--steps", "2", "--target", "0.1",
+    ],
+    ["verify-limit", "--eps-list", "0.2,0.1", "--particles", "100000", "--steps", "2"],
+    ["demo-example11", "--particles", "100000", "--steps", "2"],
+]
+
+
+@pytest.mark.parametrize("args", _OVER_BUDGET, ids=lambda args: args[0])
+def test_a_run_over_the_memory_budget_exits_2(runner, monkeypatch, args):
+    monkeypatch.setattr(dynamics, "_memory_limit", lambda: 2**20)
+    out = runner.invoke(main, args)
+    assert out.exit_code == 2, out.output
+    assert re.fullmatch(
+        r"error: the run needs about [1-9][\d,]* MiB of memory, more than the 1 MiB this "
+        r"process may use\n",
+        out.output,
+    )
+
+
+def test_a_trillion_particles_exit_2_before_allocating(runner, monkeypatch):
+    monkeypatch.setattr(dynamics, "_memory_limit", lambda: 8 * 2**30)
+    out = runner.invoke(main, ["simulate", "--particles", "1000000000000", "--steps", "2"])
+    assert out.exit_code == 2
+    assert out.output == (
+        "error: the run needs about 38,146,973 MiB of memory, more than the 8,192 MiB "
+        "this process may use\n"
+    )

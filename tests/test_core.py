@@ -21,7 +21,7 @@ from mvsde.errors import (
     GridMismatchError, InvalidArgumentError, InvalidControlError, UnsupportedError,
 )
 from mvsde.models import get_model
-from mvsde.rng import SeedBlock, derive_seed
+from mvsde.rng import _BANDED_MIN, _BANDS, SeedBlock, derive_seed
 from mvsde.skeleton import solve_ldp_skeleton, solve_mdp_skeleton
 
 
@@ -146,32 +146,58 @@ def test_model_spec_jump_requires_intensity(example11):
         )
 
 
+def _normals(brownian, band, n):
+    return brownian.standard_normal(out=np.empty(n), band=band)
+
+
+BROWNIAN_BANDS = [None, *range(_BANDS)]  # None: the one-generator stream
+
+
 def test_seed_block_split_is_stable():
     a = SeedBlock.from_seed(123)
     b = SeedBlock.from_seed(123)
-    assert a.brownian.standard_normal(5) == pytest.approx(
-        b.brownian.standard_normal(5)
-    )
+    for band in BROWNIAN_BANDS:
+        assert _normals(a.brownian, band, 5).tobytes() == _normals(b.brownian, band, 5).tobytes()
     assert a.jumps.integers(0, 1 << 30) == b.jumps.integers(0, 1 << 30)
-    # brownian and jump streams must be distinct
+    # the brownian generators and the jump stream must be distinct
     c = SeedBlock.from_seed(123)
-    assert not np.allclose(
-        c.brownian.standard_normal(5), SeedBlock.from_seed(123).jumps.standard_normal(5)
-    )
+    draws = [_normals(c.brownian, band, 5) for band in BROWNIAN_BANDS]
+    draws.append(SeedBlock.from_seed(123).jumps.standard_normal(5))
+    for i, u in enumerate(draws):
+        for v in draws[i + 1:]:
+            assert not np.allclose(u, v)
 
 
 def test_seed_block_draws_brownian_from_sfc64_and_jumps_from_pcg64():
+    # unbanded blocks come from SFC64 on the SeedSequence's first child, band
+    # i of a banded block from SFC64 on the i-th child that it spawns
     for seed in (0, 123):
         children = np.random.SeedSequence(seed).spawn(2)
+        bands = children[0].spawn(_BANDS)
         block = SeedBlock.from_seed(seed)
         np.testing.assert_array_equal(
-            block.brownian.standard_normal(1000),
+            _normals(block.brownian, None, 1000),
             np.random.Generator(np.random.SFC64(children[0])).standard_normal(1000),
         )
+        for i in range(_BANDS):
+            np.testing.assert_array_equal(
+                _normals(block.brownian, i, 1000),
+                np.random.Generator(np.random.SFC64(bands[i])).standard_normal(1000),
+            )
         np.testing.assert_array_equal(
             block.jumps.random(1000),
             np.random.Generator(np.random.PCG64(children[1])).random(1000),
         )
+
+
+def test_blocks_are_banded_from_banded_min():
+    brownian = SeedBlock.from_seed(0).brownian
+    assert brownian.bands(_BANDED_MIN - 1, 1) == [(None, slice(0, _BANDED_MIN - 1))]
+    assert brownian.bands(_BANDED_MIN // 2 - 1, 2) == [(None, slice(0, _BANDED_MIN // 2 - 1))]
+    n = _BANDED_MIN // 2
+    assert brownian.bands(n, 2) == [
+        (i, slice(n * i // _BANDS, n * (i + 1) // _BANDS)) for i in range(_BANDS)
+    ]
 
 
 def _terminal_sha256(rungs):
@@ -182,11 +208,23 @@ def _terminal_sha256(rungs):
 
 
 def test_gaussian_ladder_keeps_its_bits(example11):
-    # pins the production stream: SFC64 normals under the Euler engine
+    # pins the production stream: SFC64 normals under the Euler engine; at
+    # 2,000 particles each block comes whole from one generator
     lanes = [Lane(eps) for eps in (0.2, 0.1, 0.05)]
     rungs = simulate_lanes(example11, make_time_grid(1.0, 50), lanes, 2000, seed=11)
     assert _terminal_sha256(rungs) == (
         "ea8827cc1c7f00d382c2dd302e1a268f3a6d6bb81b42c8bb63b439887f6e4bcd"
+    )
+
+
+def test_banded_gaussian_ladder_keeps_its_bits(example11):
+    # the same ladder at _BANDED_MIN particles: each block in _BANDS row
+    # bands, read ahead and shared by the two threads
+    lanes = [Lane(eps) for eps in (0.2, 0.1, 0.05)]
+    grid = make_time_grid(1.0, 50)
+    rungs = simulate_lanes(example11, grid, lanes, _BANDED_MIN, seed=11)
+    assert _terminal_sha256(rungs) == (
+        "10aba23d4cd4be404796160dd4192ef47e7a784dc1106fc106bddbf123e2ae85"
     )
 
 

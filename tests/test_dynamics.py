@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -29,6 +32,7 @@ from mvsde.errors import DivergenceError, InvalidArgumentError, UnsupportedError
 from mvsde.levy import IntensityMeasure
 from mvsde.models import get_model, load_model_file
 from mvsde.rate import EventSpec, OptimizerConfig, _mdp_response, ldp_rate, mdp_rate
+from mvsde.rng import _BANDED_MIN, _BANDS, BrownianBands, SeedBlock
 from mvsde.skeleton import _DIVERGENCE_LIMIT, _guard, solve_ldp_skeleton, solve_limit_ode
 
 # forward Euler applied to x' = x from 1.0 on 400 equal cells
@@ -818,6 +822,18 @@ def _switching_sigma_model():
 # (test_read_ahead_starts_one_worker_per_call checks that it does)
 READ_AHEAD_N = 10_000
 
+
+@pytest.fixture
+def banded(monkeypatch):
+    """Cut every Brownian block into rng._BANDS row bands: the production
+    threshold rng._BANDED_MIN is set by speed, and the sharing of bands
+    between the threads does not depend on it, so the tests below stay
+    small."""
+    import mvsde.rng as rng
+
+    monkeypatch.setattr(rng, "_BANDED_MIN", 1)
+
+
 # sha256 of the terminal clouds of two lanes (eps 0.2 and 0.05) over 40 steps
 # at READ_AHEAD_N particles, taken when every block was drawn inline at its
 # own step
@@ -965,35 +981,270 @@ def test_divergence_stops_the_worker(workers):
     assert threading.active_count() == before
 
 
-def test_a_failed_draw_reaches_the_caller(example11, monkeypatch):
-    # the second block is the first one read ahead, so it fails on the worker
+def _drawn_by(monkeypatch, side):
+    """Let only one side draw the bands of each block read ahead: the
+    worker ("worker", the caller leaving every band to it as under a
+    free-threaded build) or the main thread ("main")."""
     import mvsde.dynamics as dynamics
 
-    failed_on = []
+    if side == "worker":
+        monkeypatch.setattr(dynamics, "_CALLER_DRAWS", False)
+        return
+    draw = dynamics._ReadAhead._draw_queued
+
+    def gated(self):
+        if threading.current_thread() is threading.main_thread():
+            draw(self)
+
+    monkeypatch.setattr(dynamics._ReadAhead, "_draw_queued", gated)
+
+
+def _band_draws(monkeypatch):
+    """A list that gets, per band drawn, whether the main thread drew it."""
+    drawn = []
+    standard_normal = BrownianBands.standard_normal
+
+    def recording(self, **kwargs):
+        drawn.append(threading.current_thread() is threading.main_thread())
+        return standard_normal(self, **kwargs)
+
+    monkeypatch.setattr(BrownianBands, "standard_normal", recording)
+    return drawn
+
+
+@pytest.mark.usefixtures("banded")
+def test_a_failed_draw_reaches_the_caller(example11, monkeypatch):
+    # a band of the second block, the first one read ahead, fails on the
+    # thread that draws it: the worker, or the main thread taking it over
+    import mvsde.dynamics as dynamics
 
     class FailingDraws:
-        def __init__(self, gen):
-            self.gen, self.calls = gen, 0
+        def __init__(self, brownian):
+            self.brownian, self.calls, self.failed_on = brownian, 0, []
 
-        def standard_normal(self, out):
+        def bands(self, n_rows, width):
+            return self.brownian.bands(n_rows, width)
+
+        def standard_normal(self, *, out, band):
             self.calls += 1
-            if self.calls == 2:
-                failed_on.append(threading.current_thread())
+            if self.calls == _BANDS + 3:
+                self.failed_on.append(threading.current_thread())
                 raise RuntimeError("draw failed")
-            return self.gen.standard_normal(out=out)
+            return self.brownian.standard_normal(out=out, band=band)
 
     seed_block = dynamics.SeedBlock
+    draws = []
 
     class FailingSeedBlock:
         @staticmethod
         def from_seed(seed):
             block = seed_block.from_seed(seed)
             block.brownian = FailingDraws(block.brownian)
+            draws.append(block.brownian)
             return block
 
     monkeypatch.setattr(dynamics, "SeedBlock", FailingSeedBlock)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="draw failed"):
-        simulate_mvsde(example11, make_time_grid(1.0, 40), 0.1, READ_AHEAD_N, seed=0)
-    assert failed_on and failed_on[0] is not threading.main_thread()
-    assert threading.active_count() == before
+    for side in ("worker", "main"):
+        with monkeypatch.context() as patch:
+            _drawn_by(patch, side)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="draw failed"):
+                simulate_mvsde(example11, make_time_grid(1.0, 40), 0.1, READ_AHEAD_N, seed=0)
+            assert threading.active_count() == before
+        (failed_on,) = draws.pop().failed_on
+        assert (failed_on is threading.main_thread()) == (side == "main")
+
+
+@pytest.mark.parametrize("n_rows, dim", [
+    (1, 1), (1003, 2), (READ_AHEAD_N, 1), (_BANDED_MIN // 2, 2),
+])
+def test_blocks_are_row_bands_of_the_band_generators(n_rows, dim):
+    # a block of at least _BANDED_MIN normals: rows [N i // K, N (i + 1) // K)
+    # of every block come from generator i, in block order; a smaller one
+    # comes whole from the generator on the Brownian child itself. The last
+    # two cases read their blocks ahead on the worker.
+    from mvsde.dynamics import _ReadAhead
+
+    seed = 21
+    child = np.random.SeedSequence(seed).spawn(2)[0]
+    if n_rows * dim < _BANDED_MIN:
+        rows = [slice(0, n_rows)]
+        refs = [np.random.Generator(np.random.SFC64(child))]
+    else:
+        rows = [slice(n_rows * i // _BANDS, n_rows * (i + 1) // _BANDS) for i in range(_BANDS)]
+        refs = [np.random.Generator(np.random.SFC64(c)) for c in child.spawn(_BANDS)]
+    block = np.empty((n_rows, dim))
+    with _ReadAhead(SeedBlock.from_seed(seed).brownian, n_rows, dim) as normals:
+        for k in range(3):
+            block = normals.next_into(block, k < 2)
+            for band, ref in zip(rows, refs):
+                np.testing.assert_array_equal(
+                    block[band], ref.standard_normal((band.stop - band.start, dim))
+                )
+
+
+@pytest.mark.usefixtures("banded")
+@pytest.mark.parametrize("model", ["example11", "affine_2d"])
+@pytest.mark.parametrize("side", ["worker", "main"])
+def test_either_thread_draws_the_inline_bytes(model, side, tmp_path, monkeypatch):
+    # the bytes do not depend on which thread draws a band: the worker alone
+    # or the main thread alone, against every block drawn inline
+    import mvsde.dynamics as dynamics
+
+    spec = _affine_jump_model(tmp_path, 1) if model == "affine_2d" else get_model(model)
+    grid, lanes = make_time_grid(1.0, 30), [Lane(0.2), Lane(0.05)]
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_READ_AHEAD_MIN", READ_AHEAD_N * spec.dim + 1)
+        inline = simulate_lanes(spec, grid, lanes, READ_AHEAD_N, seed=4)
+    _drawn_by(monkeypatch, side)
+    drawn = _band_draws(monkeypatch)
+    shared = simulate_lanes(spec, grid, lanes, READ_AHEAD_N, seed=4)
+    # the first block is drawn inline, every later one read ahead
+    assert drawn == [True] * _BANDS + [side == "main"] * ((grid.n_steps - 1) * _BANDS)
+    assert _lanes_sha256(shared) == _lanes_sha256(inline)
+
+
+@pytest.mark.usefixtures("banded")
+def test_contended_bands_keep_the_inline_bytes(monkeypatch):
+    # the caller asks for each block at once, so both threads draw bands of
+    # most blocks, with the GIL switching every microsecond; a band drawn
+    # twice or never would change the bytes
+    import mvsde.dynamics as dynamics
+
+    n_rows, n_blocks = 64, 2000
+
+    def blocks():
+        h = hashlib.sha256()
+        with dynamics._ReadAhead(SeedBlock.from_seed(3).brownian, n_rows, 1) as normals:
+            block = np.empty((n_rows, 1))
+            for k in range(n_blocks):
+                block = normals.next_into(block, k + 1 < n_blocks)
+                h.update(block.tobytes())
+        return h.hexdigest()
+
+    monkeypatch.setattr(dynamics, "_READ_AHEAD_MIN", n_rows + 1)
+    inline = blocks()
+    monkeypatch.setattr(dynamics, "_READ_AHEAD_MIN", n_rows)
+    drawn = _band_draws(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = blocks()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == n_blocks * _BANDS
+    assert 0 < drawn.count(False) < len(drawn) - _BANDS
+    assert shared == inline
+
+
+@pytest.mark.usefixtures("banded")
+def test_the_caller_waits_for_the_band_in_flight(monkeypatch):
+    # the caller asks for each block once the worker has begun a band of
+    # it, which takes the worker 5 ms, so the caller draws the bands still
+    # queued and then has to wait for the worker's band
+    import time
+
+    import mvsde.dynamics as dynamics
+
+    n_rows, n_blocks = 64, 20
+    began = threading.Event()
+
+    def blocks(shared):
+        h = hashlib.sha256()
+        with dynamics._ReadAhead(SeedBlock.from_seed(6).brownian, n_rows, 1) as normals:
+            block = np.empty((n_rows, 1))
+            for k in range(n_blocks):
+                block = normals.next_into(block, k + 1 < n_blocks)
+                h.update(block.tobytes())
+                if shared and k + 1 < n_blocks:
+                    assert began.wait(timeout=10)
+                    began.clear()
+        return h.hexdigest()
+
+    monkeypatch.setattr(dynamics, "_READ_AHEAD_MIN", n_rows + 1)
+    inline = blocks(shared=False)
+    monkeypatch.setattr(dynamics, "_READ_AHEAD_MIN", n_rows)
+    standard_normal = BrownianBands.standard_normal
+    on_worker = []
+
+    def slow_on_worker(self, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            on_worker.append(kwargs["band"])
+            began.set()
+            time.sleep(0.005)
+        return standard_normal(self, **kwargs)
+
+    monkeypatch.setattr(BrownianBands, "standard_normal", slow_on_worker)
+    assert blocks(shared=True) == inline
+    assert n_blocks - 1 <= len(on_worker) < (n_blocks - 1) * _BANDS
+
+
+@pytest.mark.usefixtures("banded")
+@pytest.mark.parametrize("n_particles", [1, 3])
+def test_fewer_particles_than_bands(n_particles, tmp_path):
+    # some bands hold no row and draw nothing; the run repeats bit for bit
+    assert n_particles < _BANDS
+    spec = _affine_jump_model(tmp_path, 1)
+    grid, lanes = make_time_grid(1.0, 20), [Lane(0.2), Lane(0.05)]
+    runs = [simulate_lanes(spec, grid, lanes, n_particles, seed=9) for _ in range(2)]
+    assert _lanes_sha256(runs[0]) == _lanes_sha256(runs[1])
+    assert np.isfinite(runs[0][1].terminal).all()
+
+
+GiB = 1 << 30
+PROC_CGROUP_V2 = "0::/user.slice/user-1000.slice/session-3.scope\n"
+PROC_CGROUP_V1 = "5:cpu,cpuacct:/job\n4:memory:/jobs/job-7\n0::/\n"
+
+
+@pytest.mark.parametrize("proc_cgroup, files, expected", [
+    (None, {}, 8 * GiB),  # no /proc/self/cgroup
+    (PROC_CGROUP_V2, {}, 8 * GiB),  # no limit file readable
+    # a namespaced (container) cgroup is the root of its own view
+    ("0::/\n", {"/sys/fs/cgroup/memory.max": "max\n"}, 8 * GiB),
+    ("0::/\n", {"/sys/fs/cgroup/memory.max": f"{2 * GiB}\n"}, 2 * GiB),
+    # a host cgroup: the smallest limit on the way to the root counts
+    (PROC_CGROUP_V2, {
+        "/sys/fs/cgroup/user.slice/user-1000.slice/session-3.scope/memory.max": "max\n",
+        "/sys/fs/cgroup/user.slice/user-1000.slice/memory.max": f"{3 * GiB}\n",
+        "/sys/fs/cgroup/user.slice/memory.max": f"{4 * GiB}\n",
+    }, 3 * GiB),
+    (PROC_CGROUP_V2, {"/sys/fs/cgroup/user.slice/memory.max": f"{16 * GiB}\n"}, 8 * GiB),
+    # a v1 memory controller
+    (PROC_CGROUP_V1, {
+        "/sys/fs/cgroup/memory/jobs/job-7/memory.limit_in_bytes": f"{GiB}\n",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+    }, GiB),
+])
+def test_memory_limit_is_physical_memory_or_a_smaller_cgroup_cap(
+    proc_cgroup, files, expected, monkeypatch
+):
+    import mvsde.dynamics as dynamics
+
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 << 20}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    files = dict(files)
+    if proc_cgroup is not None:
+        files["/proc/self/cgroup"] = proc_cgroup
+
+    def fake_open(path):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(dynamics, "open", fake_open, raising=False)
+    assert dynamics._memory_limit() == expected
+
+
+def test_the_memory_budget_counts_recorders_and_jumps(example11, pure_jump, monkeypatch):
+    # one lane of 1,000 particles in 1-d: its cloud and four (N, d) blocks;
+    # record="full" adds 11 nodes, and jumps add one step's proposals
+    import mvsde.dynamics as dynamics
+
+    grid, block = make_time_grid(1.0, 10), 8 * 1000
+    monkeypatch.setattr(dynamics, "_memory_limit", lambda: 5 * block)
+    simulate_mvsde(example11, grid, 0.1, 1000, seed=0, record="summary")
+    for spec, record in [(example11, "full"), (pure_jump, "summary")]:
+        with pytest.raises(InvalidArgumentError, match="needs about"):
+            simulate_mvsde(spec, grid, 0.1, 1000, seed=0, record=record)
+    monkeypatch.setattr(dynamics, "_memory_limit", lambda: 16 * block)
+    simulate_mvsde(example11, grid, 0.1, 1000, seed=0, record="full")
