@@ -60,11 +60,10 @@ particle fl(x + increment), then + fl(eps * G) once per jump in time order,
 so they agree bit for bit. Each cloud moves in place through step buffers
 shared by all lanes. Every coefficient call still sees the left-endpoint
 cloud through law.cloud: the jump coefficients run before the cloud moves
-or on a gathered copy, and the lanes that no other lane reads move first, in
-index order, then the lanes that another lane reads (the law sources), in
-index order; a law source may not itself read another lane. The step's
-jumps are sampled inside the loop, sorted once (levy.propose_step) and
-masked per lane (levy.thin_step, which keeps the (stream, time) order and
+or on a gathered copy, and the lanes move last to first while a lane reads
+only an earlier lane, so each reader moves before the cloud it reads. The
+step's jumps are sampled inside the loop, sorted once (levy.propose_step)
+and masked per lane (levy.thin_step, which keeps the (stream, time) order and
 ranks nothing), so no lane sorts and memory holds one step's jumps, not the
 horizon's. The compensator is summed atom by atom;
 with three or more mark atoms its last bit can differ from an einsum's.
@@ -325,10 +324,9 @@ def _as_reference(reference, grid: TimeGrid, dim: int):
 class Lane:
     """One particle cloud of simulate_lanes at noise level eps. law is where
     its coefficients read the law each step: "self" (its own cloud), the
-    index of another lane (that lane's cloud at the step's left endpoint;
-    the lane read must not read another lane itself), a Path (point masses
-    along it) or a callable step -> LawSummary. control None is the null
-    control."""
+    index of an earlier lane (that lane's cloud at the step's left endpoint),
+    a Path (point masses along it) or a callable step -> LawSummary. control
+    None is the null control."""
 
     eps: float
     control: Control | None = None
@@ -337,16 +335,16 @@ class Lane:
     record: str = "summary"
 
 
-def _law_source(law, grid: TimeGrid, lane: int, n_lanes: int):
+def _law_source(law, grid: TimeGrid, lane: int):
     """The index of the lane whose cloud the lane reads, or a callable
     step -> LawSummary."""
     if isinstance(law, str) and law == "self":
         return lane
     if isinstance(law, int) and not isinstance(law, bool):
-        if not 0 <= law < n_lanes:
-            raise InvalidArgumentError(f"lane {lane} reads lane {law}, out of range")
-        if law == lane:
-            raise InvalidArgumentError(f'lane {lane} reads its own index; use "self"')
+        if not 0 <= law < lane:
+            raise InvalidArgumentError(
+                f'lane {lane} reads lane {law}; a lane reads "self" or an earlier lane'
+            )
         return law
     if isinstance(law, Path):
         if law.grid != grid:
@@ -553,15 +551,10 @@ def simulate_lanes(
     if n_particles < 1:
         raise InvalidArgumentError("n_particles must be >= 1")
     controls = [_lane_control(lane.control, spec, grid) for lane in lanes]
-    sources = [_law_source(lane.law, grid, i, len(lanes)) for i, lane in enumerate(lanes)]
+    sources = [_law_source(lane.law, grid, i) for i, lane in enumerate(lanes)]
     # the cloud whose empirical law each lane reads (None: a frozen flow)
     clouds = [None if callable(src) else src for src in sources]
     read_clouds = set(clouds) - {None}
-    # the law sources: the clouds that another lane reads
-    law_sources = {c for i, c in enumerate(clouds) if c not in (None, i)}
-    for c in law_sources:
-        if clouds[c] not in (None, c):
-            raise InvalidArgumentError(f"lane {c} is a law source but reads lane {clouds[c]}")
     # proposals at rate (1 / eps_ref) * hi * nu dominate every lane's
     # psi_i / eps_i; lane i keeps one iff u * hi < psi_i(cell) * eps_ref / eps_i
     eps_ref = min(lane.eps for lane in lanes)
@@ -588,8 +581,6 @@ def simulate_lanes(
         rec.record(0, x, incr)
     sqrt_eps = [float(np.sqrt(lane.eps)) for lane in lanes]
     phi_active = [bool(ctl.phi.any()) for ctl in controls]
-    # a law source moves after every lane that reads it
-    order = [i for i in range(len(lanes)) if i not in law_sources] + sorted(law_sources)
 
     dts = grid.dt
     with _ReadAhead(sb.brownian, big_n, d) as normals:
@@ -618,7 +609,8 @@ def simulate_lanes(
             if spec.has_jumps:
                 proposal = propose_step(spec.intensity, 1.0 / eps_ref, t_k, dt, hi, big_n, sb.jumps)
                 n_proposed += proposal[0].size
-            for i in order:
+            # last to first: a lane reads only earlier lanes, which move after it
+            for i in reversed(range(len(lanes))):
                 x, law, sig, ctl = xs[i], laws[i], sigs[i], controls[i]
                 if noisy[i] and not shared_sig:
                     _matvec(sig, dw, out=noise)

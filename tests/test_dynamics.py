@@ -435,10 +435,11 @@ def _mean_reader(read):
 
 
 def test_lockstep_coefficients_read_the_left_endpoint_cloud():
-    # law.mean is taken when the step starts; law.cloud.mean(axis=0) is taken
-    # at the call. They agree bit for bit only if no cloud moves before every
-    # coefficient call that can read it (the law sources, lanes 0 and 1, move
-    # last, jumps run on a copy)
+    # law.mean is taken on its first read in the step; law.cloud.mean(axis=0)
+    # is taken at each call. They agree bit for bit only if no cloud moves
+    # before every coefficient call that can read it (lanes move last to
+    # first, so lanes 2 and 3 move before the lanes 0 and 1 they read; jumps
+    # run on a copy)
     grid = make_time_grid(1.0, 60)
     ctl = Control(grid, np.full((60, 1), 0.3), np.full((60, 1), 0.6))
     runs = []
@@ -681,9 +682,9 @@ def test_empty_lane_list_is_a_typed_error(example11):
 @pytest.mark.parametrize(
     "law, match",
     [
-        (2, "out of range"),
-        (-1, "out of range"),
-        (1, "own index"),
+        pytest.param(2, "lane 1 reads lane 2; a lane reads", id="2-out of range"),
+        pytest.param(-1, "lane 1 reads lane -1; a lane reads", id="-1-out of range"),
+        pytest.param(1, "lane 1 reads lane 1; a lane reads", id="1-own index"),
         ("companion", "cannot interpret"),
         (True, "cannot interpret"),
     ],
@@ -695,17 +696,23 @@ def test_bad_lane_index_is_a_typed_error(example11, law, match):
         simulate_lanes(example11, grid, lanes, 10, seed=0)
 
 
-def test_law_source_that_reads_another_lane_is_a_typed_error(example11):
-    # lane 2 reads lane 1, which itself reads lane 0
-    grid = make_time_grid(1.0, 10)
-    lanes = [Lane(0.05), Lane(0.05, law=0), Lane(0.05, law=1)]
-    with pytest.raises(InvalidArgumentError, match="reads lane 0"):
-        simulate_lanes(example11, grid, lanes, 10, seed=0)
+def test_a_chain_of_earlier_lanes_carries_the_null_coupling(logistic):
+    # lane 2 reads lane 1, which reads lane 0: under the null control and one
+    # eps the three clouds stay bit-identical; a lane may not read a later one
+    grid = make_time_grid(1.0, 40)
+    lanes = [Lane(0.05, record="full")]
+    lanes += [Lane(0.05, law=i, record="full") for i in range(2)]
+    plain, first, second = simulate_lanes(logistic, grid, lanes, 64, seed=5)
+    assert plain.meta["n_jumps"] > 0
+    _assert_same_run(plain, first)
+    _assert_same_run(plain, second)
+    with pytest.raises(InvalidArgumentError, match="lane 0 reads lane 1"):
+        simulate_lanes(logistic, grid, [Lane(0.05, law=1), Lane(0.05)], 10, seed=0)
 
 
-def test_lanes_that_no_lane_reads_move_first(example11, monkeypatch):
-    # the demo's [plain, frozen on 0, self-consistent] moves as [1, 2, 0]; a
-    # ladder of law sources and their frozen lanes moves every frozen lane first
+def test_lanes_move_last_to_first(example11, monkeypatch):
+    # the demo's [plain, frozen on 0, self-consistent] moves as [2, 1, 0], and
+    # a ladder of plain lanes and their frozen lanes as [3, 2, 1, 0]
     import mvsde.dynamics as dynamics
 
     calls = []
@@ -719,9 +726,8 @@ def test_lanes_that_no_lane_reads_move_first(example11, monkeypatch):
     grid = make_time_grid(1.0, 4)
     ctl = Control(grid, np.ones((4, 1)), np.ones((4, 0)))
     cases = (
-        ([Lane(0.01), Lane(0.01, ctl, 0), Lane(0.01, ctl, "self")], [1, 2, 0]),
-        ([Lane(0.1), Lane(0.05), Lane(0.1, ctl, 0), Lane(0.05, ctl, 1)], [2, 3, 0, 1]),
-        ([Lane(0.1), Lane(0.05)], [0, 1]),
+        ([Lane(0.01), Lane(0.01, ctl, 0), Lane(0.01, ctl, "self")], [2, 1, 0]),
+        ([Lane(0.1), Lane(0.05), Lane(0.1, ctl, 0), Lane(0.05, ctl, 1)], [3, 2, 1, 0]),
     )
     for lanes, order in cases:
         calls.clear()
