@@ -158,10 +158,8 @@ seed_option = click.option(
     help="Master seed, an integer >= 0.",
 )
 jobs_option = click.option(
-    "--jobs",
-    default=1,
-    show_default=True,
-    help="Integer >= 1, kept for compatibility: the ladder runs as one simulation.",
+    "--jobs", type=click.IntRange(min=1), default=1, expose_value=False,
+    help="An integer >= 1, kept for compatibility; it changes nothing.",
 )
 out_option = click.option(
     "--out", type=click.Path(dir_okay=False), default=None, help="Write a JSON report here."
@@ -478,8 +476,8 @@ def _finish_verify(report, out, command, **params):
 @out_option
 @_guarded
 def verify_ldp_cmd(
-    model_name, eps_list, event_text, particles, target, tol, jobs, steps,
-    horizon, seed, cells, out,
+    model_name, eps_list, event_text, particles, target, tol, steps, horizon,
+    seed, cells, out,
 ):
     """Monte Carlo check of the small-noise rate against its optimizer."""
     spec = get_model(model_name)
@@ -492,7 +490,7 @@ def verify_ldp_cmd(
     ) as target_value:
         report = check_ldp(
             spec, grid, eps_values, event, particles, seed,
-            target=target_value, tol=tol, jobs=jobs,
+            target=target_value, tol=tol,
         )
     _finish_verify(
         report, out, "verify-ldp",
@@ -517,8 +515,8 @@ def verify_ldp_cmd(
 @out_option
 @_guarded
 def verify_mdp_cmd(
-    model_name, eps_list, event_text, particles, target, tol, jobs, a_exp,
-    steps, horizon, seed, out,
+    model_name, eps_list, event_text, particles, target, tol, a_exp, steps,
+    horizon, seed, out,
 ):
     """Monte Carlo check of the moderate rate against its exact value."""
     spec = get_model(model_name)
@@ -530,7 +528,7 @@ def verify_mdp_cmd(
     ) as target_value:
         report = check_mdp(
             spec, grid, eps_values, event, particles, seed,
-            a_exp=a_exp, target=target_value, tol=tol, jobs=jobs,
+            a_exp=a_exp, target=target_value, tol=tol,
         )
     _finish_verify(
         report, out, "verify-mdp",
@@ -555,15 +553,13 @@ def verify_mdp_cmd(
 @out_option
 @_guarded
 def verify_limit_cmd(
-    model_name, eps_list, particles, tol, jobs, steps, horizon, seed, out
+    model_name, eps_list, particles, tol, steps, horizon, seed, out
 ):
     """Check convergence of the particle system to its limit flow."""
     spec = get_model(model_name)
     grid = make_time_grid(horizon, steps)
     eps_values = _parse_floats(eps_list, "--eps-list")
-    report = check_limit_convergence(
-        spec, grid, eps_values, particles, seed, tol=tol, jobs=jobs
-    )
+    report = check_limit_convergence(spec, grid, eps_values, particles, seed, tol=tol)
     for eps, value in zip(report.eps, report.values):
         click.echo(f"  eps={eps:<8g} E[sup|X - xbar|^2]={value:.6e}")
     click.echo(

@@ -25,24 +25,13 @@ when its rate bound is the ladder's (every rung without jumps, the
 smallest-eps rung with them). check_controlled_convergence runs 2k lanes
 for k rungs: per eps, a plain lane and then the frozen-law lane that reads
 it by index, so the two lanes of one eps move back to back and share one
-sqrt(eps) scaling of the noise. The ladders accept jobs (an integer >= 1)
-but do not use it, and it changes neither the work nor any result:
-one simulation over all the rungs draws each step's increments once, while
-splitting the rungs into thread groups that each draw them again cost
-8.6 % more peak memory for 9 % less wall time (3-rung ladder, N = 1e5,
-2 vCPUs). The second core serves the simulation itself instead: a worker
-thread draws the next step's Brownian block while the rungs move, and the
-main thread draws the bands of the block (rng.BrownianBands: row bands
-from rng._BANDED_MIN normals on, else the whole block) that the worker has
-not reached when the rungs are done first; each band has its own
-generator, so the bits do not depend on which thread drew it. It costs one
-extra (N, d) block; blocks below dynamics._READ_AHEAD_MIN normals are
-drawn inline.
-The second core also serves the target: check_ldp and check_mdp take it
-as a number or as a zero-argument callable, called once after the
-simulation, and the CLI's --target auto passes one that waits for a forked
-process computing the rate while the ladder runs; until that process ends,
-the read-ahead worker shares the second core with it.
+sqrt(eps) scaling of the noise. A second core reads each step's Brownian
+block ahead while the rungs move, as the dynamics module docstring
+describes; it also serves the target: check_ldp and check_mdp take it as a
+number or as a zero-argument callable, called once after the simulation,
+and the CLI's --target auto passes one that waits for a forked process
+computing the rate while the ladder runs; until that process ends, the
+read-ahead worker shares the second core with it.
 
 The limit check's terminal W2 distance to the point mass at xbar(T) is the
 closed form sqrt(mean_i |X_i(T) - xbar(T)|^2): every coupling costs the same.
@@ -155,11 +144,6 @@ def fit_rate_extrapolation(rows: list) -> tuple[str, float, dict]:
     return method, float(coef[0]), details
 
 
-def _run_ladder(spec, grid, lanes, n_particles, seed, label) -> list:
-    """Run the rungs as lockstep lanes of one simulation from the ladder seed."""
-    return simulate_lanes(spec, grid, lanes, n_particles, derive_seed(seed, label))
-
-
 def _add_warnings(details: dict, ensembles) -> dict:
     """details with the rungs' warnings under "warnings", when there are any."""
     warnings = [w for ens in ensembles for w in ens.meta["warnings"]]
@@ -168,13 +152,14 @@ def _add_warnings(details: dict, ensembles) -> dict:
     return details
 
 
-def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> SlopeReport:
-    """Slope rows of the rungs' ensembles at the given speeds (and moderate
-    scales a, or None), their extrapolated fit, and the gate at target (a
-    number, a zero-argument callable that returns it, or None)."""
+def _slope_report(kind, event, ensembles, target, tol) -> SlopeReport:
+    """Slope rows of the rungs' ensembles, their extrapolated fit, and the
+    gate at target (a number, a zero-argument callable that returns it, or
+    None). A rung's speed is its meta["speed"] (a moderate rung's eps / a^2,
+    next to its scale meta["a"]), else its eps."""
     rows = []
-    for ens, h, a in zip(ensembles, speeds, scale_a):
-        n = ens.n_particles
+    for ens in ensembles:
+        h, n = ens.meta.get("speed", ens.eps), ens.n_particles
         hits = int(np.count_nonzero(event.indicator(ens.terminal, ens.sup_sq)))
         p_hat = hits / n
         if hits > 0:
@@ -183,8 +168,7 @@ def _slope_report(kind, event, ensembles, speeds, scale_a, target, tol) -> Slope
         else:
             stat, stderr = float("nan"), float("nan")
         rows.append(SlopeRow(
-            ens.eps, float(h), n, hits, p_hat, stat, stderr, hits == 0,
-            None if a is None else float(a),
+            ens.eps, float(h), n, hits, p_hat, stat, stderr, hits == 0, ens.meta.get("a")
         ))
     method, intercept, details = fit_rate_extrapolation(rows)
     if event.kind == "halfspace":
@@ -222,11 +206,6 @@ def _validate_eps_list(eps_list) -> list:
     return sorted(eps_list, reverse=True)
 
 
-def _check_jobs(jobs) -> None:
-    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise InvalidArgumentError(f"jobs must be an integer >= 1, not {jobs!r}")
-
-
 def check_ldp(
     spec: ModelSpec,
     grid: TimeGrid,
@@ -236,19 +215,17 @@ def check_ldp(
     seed: int,
     target: float | Callable[[], float] | None = None,
     tol: float | None = None,
-    jobs: int = 1,
 ) -> SlopeReport:
     """Estimate the small-noise rate of an event by slope extrapolation.
     A callable target is called once, after the simulation."""
     eps_list = _validate_eps_list(eps_list)
-    _check_jobs(jobs)
     _check_tol(tol)
     event.check_dim(spec.dim)
     lanes = [Lane(eps, reference=event.ref_path) for eps in eps_list]
-    ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_ldp")
-    return _slope_report(
-        "ldp", event, ensembles, eps_list, [None] * len(eps_list), target, tol
+    ensembles = simulate_lanes(
+        spec, grid, lanes, n_particles, derive_seed(seed, "check_ldp")
     )
+    return _slope_report("ldp", event, ensembles, target, tol)
 
 
 def check_mdp(
@@ -261,7 +238,6 @@ def check_mdp(
     a_exp: float = 0.25,
     target: float | Callable[[], float] | None = None,
     tol: float | None = None,
-    jobs: int = 1,
 ) -> SlopeReport:
     """Estimate the moderate rate of a fluctuation event, a(eps) = eps^a_exp.
 
@@ -270,26 +246,23 @@ def check_mdp(
     is called once, after the simulation.
     """
     eps_list = _validate_eps_list(eps_list)
-    _check_jobs(jobs)
     _check_tol(tol)
     event.check_dim(spec.dim)
     if not (0.0 < a_exp < 0.5):
         raise InvalidArgumentError(
             "a_exp must lie in (0, 1/2): a -> 0 with eps/a^2 -> 0"
         )
-    scale_a = [e**a_exp for e in eps_list]
-    speeds = [e / a**2 for e, a in zip(eps_list, scale_a)]
-
     xbar = _euler_limit_path(spec, grid)
     rungs = [
-        _moderate_lane(spec, grid, eps, a, None, xbar, reference=event.ref_path)
-        for eps, a in zip(eps_list, scale_a)
+        _moderate_lane(spec, grid, eps, eps**a_exp, None, xbar, reference=event.ref_path)
+        for eps in eps_list
     ]
-    ensembles = _run_ladder(
-        spec, grid, [lane for lane, _ in rungs], n_particles, seed, "check_mdp"
+    ensembles = simulate_lanes(
+        spec, grid, [lane for lane, _ in rungs], n_particles,
+        derive_seed(seed, "check_mdp"),
     )
     ensembles = [to_fluctuation(ens) for (_, to_fluctuation), ens in zip(rungs, ensembles)]
-    return _slope_report("mdp", event, ensembles, speeds, scale_a, target, tol)
+    return _slope_report("mdp", event, ensembles, target, tol)
 
 
 @dataclass
@@ -323,16 +296,16 @@ def check_limit_convergence(
     n_particles: int,
     seed: int,
     tol: float = 0.2,
-    jobs: int = 1,
 ) -> ConvergenceReport:
     """Check E[sup_t |X - xbar|^2] = O(eps) along the given eps ladder, and
     report W2(X(T), delta_xbar(T)) = sqrt(mean_i |X_i(T) - xbar(T)|^2)."""
     eps_list = _validate_eps_list(eps_list)
-    _check_jobs(jobs)
     _check_tol(tol)
     limit = solve_limit_ode(spec, grid)
     lanes = [Lane(eps, reference=limit) for eps in eps_list]
-    ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_limit")
+    ensembles = simulate_lanes(
+        spec, grid, lanes, n_particles, derive_seed(seed, "check_limit")
+    )
     w2_terminal = [
         float(np.sqrt(np.mean(np.sum((ens.terminal - limit.terminal) ** 2, axis=1))))
         for ens in ensembles
@@ -361,7 +334,9 @@ def check_controlled_convergence(
     lanes = []
     for eps in eps_list:
         lanes += [Lane(eps), Lane(eps, control, len(lanes), skeleton)]
-    ensembles = _run_ladder(spec, grid, lanes, n_particles, seed, "check_controlled")
+    ensembles = simulate_lanes(
+        spec, grid, lanes, n_particles, derive_seed(seed, "check_controlled")
+    )
     return _convergence_report(
         "controlled_convergence", eps_list, ensembles[1::2], tol,
         {"control_event": "frozen-law tracking"},

@@ -5,6 +5,7 @@ so the verbose listing reads as the acceptance scorecard. Detail lines are
 printed and surface on failure.
 """
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_criterion_4_gaussian_rate_and_monte_carlo():
     opt_err = abs(res.value - 0.125)
     rep = check_ldp(
         spec, grid, [0.2, 0.1, 0.05], EventSpec.halfspace([1.0], E + 0.5),
-        n_particles=100_000, seed=0, target=0.125, tol=0.03, jobs=2,
+        n_particles=100_000, seed=0, target=0.125, tol=0.03,
     )
     elapsed = time.perf_counter() - t0
     mc_err = abs(rep.intercept - 0.125)
@@ -107,7 +108,7 @@ def test_criterion_5_jump_rate_and_monte_carlo():
     opt_err = abs(res.value - target)
     rep = check_ldp(
         spec, grid, [0.2, 0.1, 0.05], EventSpec.halfspace([1.0], 1.0),
-        n_particles=100_000, seed=0, target=target, tol=0.05, jobs=2,
+        n_particles=100_000, seed=0, target=target, tol=0.05,
     )
     mc_err = abs(rep.intercept - target)
     _line(5, res.feasible and opt_err <= 1e-3 and rep.passed,
@@ -133,7 +134,7 @@ def test_criterion_6_moderate_rate_exact_and_monte_carlo():
     rep = check_mdp(
         spec, make_time_grid(1.0, 400), [1e-2, 4e-3, 1e-3],
         EventSpec.halfspace([1.0], 0.5), n_particles=100_000, seed=0,
-        a_exp=0.25, target=mc_target, tol=0.05, jobs=2,
+        a_exp=0.25, target=mc_target, tol=0.05,
     )
     mc_err = abs(rep.intercept - mc_target)
     # the naive rate lets the law follow the controlled path: b = x, which
@@ -151,7 +152,7 @@ def test_criterion_7_limit_convergence_order():
     spec = get_model("example11")
     grid = make_time_grid(1.0, 400)
     rep = check_limit_convergence(
-        spec, grid, [0.2, 0.1, 0.05, 0.025], n_particles=2000, seed=0, jobs=2
+        spec, grid, [0.2, 0.1, 0.05, 0.025], n_particles=2000, seed=0
     )
     _line(7, rep.passed,
           f"E[sup|X-xbar|^2] log-log slope {rep.slope:.3f} "
@@ -295,4 +296,48 @@ def test_criterion_11_frozen_law_controlled_particles_track_their_skeleton():
           "controlled slopes " + ", ".join(
               f"{name} {slopes[name]:.5f} (1 +/- {tol:g})"
               for name, tol in CONTROLLED_SLOPE_TOL.items()
+          ) + f"; {elapsed:.2f}s")
+
+
+def test_criterion_12_two_dimensional_claim_with_degenerate_noise(tmp_path):
+    # p' = v, v' = -p + mean(p), noise in v only, from (1, 0): the limit
+    # stays at (1, 0) and the frozen law linearizes to the oscillator
+    # A = [[0, 1], [-1, 0]]. The model is linear, so the LDP and MDP rates of
+    # p(1) >= 1 + c agree: c^2 / (2 G_pp), with G_pp = int_0^1 sin^2 u du =
+    # 1/2 - sin(2)/4 the position entry of the controllability Gramian. The
+    # naive total derivative gives the double integrator and G_pp = 1/3.
+    # N, the steps, c, both eps ladders, the seed and the bounds were fixed
+    # before the first run at seed 0, from a sweep over seeds 11-30: the
+    # largest |intercept - rate| was 0.034 (LDP) and 0.036 (moderate). The
+    # moderate ladder's speeds eps / a^2 are the LDP ladder's eps, so its
+    # smallest rung expects about 300 hits.
+    t0 = time.perf_counter()
+    model = tmp_path / "oscillator.json"
+    model.write_text(json.dumps({
+        "name": "oscillator", "dim": 2, "initial": [1, 0],
+        "drift": {"linear_x": [[0, 1], [-1, 0]], "linear_mean": [[0, 0], [1, 0]]},
+        "diffusion": {"const": [[0, 0], [0, 1]]},
+    }))
+    spec = get_model(str(model))
+    c = 0.3
+    rate = c**2 / (2.0 * (0.5 - np.sin(2.0) / 4.0))
+    naive = c**2 / (2.0 / 3.0)
+    grid = make_time_grid(1.0, 400)
+    exact = mdp_rate(spec, grid, EventSpec.halfspace([1.0, 0.0], c)).value
+    coarse = ldp_rate(spec, grid, EventSpec.halfspace([1.0, 0.0], 1.0 + c),
+                      OptimizerConfig(seed=0)).value
+    exact_rel, coarse_rel = exact / rate - 1.0, coarse / rate - 1.0
+    ladder = make_time_grid(1.0, 100)
+    ldp = check_ldp(spec, ladder, [0.2, 0.1, 0.05], EventSpec.halfspace([1.0, 0.0], 1.0 + c),
+                    n_particles=60_000, seed=0, target=rate, tol=0.05)
+    mdp = check_mdp(spec, ladder, [0.04, 0.01, 0.0025], EventSpec.halfspace([1.0, 0.0], c),
+                    n_particles=60_000, seed=0, a_exp=0.25, target=rate, tol=0.05)
+    elapsed = time.perf_counter() - t0
+    _line(12, abs(exact_rel) <= 1e-4 and abs(coarse_rel) <= 2e-3 and ldp.passed and mdp.passed,
+          f"closed form {rate:.6f}; mdp_rate {exact:.7f} (rel {exact_rel:+.1e}, tol 1e-4), "
+          f"ldp_rate {coarse:.6f} (rel {coarse_rel:+.1e}, tol 2e-3; naive {naive:.6f}); "
+          + "; ".join(
+              f"{name} ladder {rep.intercept:.4f} (err {rep.intercept - rate:+.4f}, tol 0.05, "
+              f"fit {rep.fit_method}, hits {[r.hits for r in rep.rows]}; naive {naive:.4f})"
+              for name, rep in (("ldp", ldp), ("moderate", mdp))
           ) + f"; {elapsed:.2f}s")

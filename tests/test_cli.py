@@ -189,6 +189,24 @@ def test_verify_ldp_gate_and_jobs_stability(runner, tmp_path):
     assert "FAIL" in out3.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-mdp", "--event", "half:1.0:0.5", "--eps-list", "0.01,0.004",
+         "--particles", "2000", "--steps", "50", "--target", "0.125", "--tol", "1.0"],
+        ["verify-limit", "--eps-list", "0.2,0.05", "--particles", "300", "--steps", "40"],
+    ],
+    ids=lambda v: v[0],
+)
+def test_verify_reports_do_not_depend_on_jobs(runner, tmp_path, args):
+    # --jobs is range-checked and changes nothing: each ladder is one simulation
+    reports = [tmp_path / "jobs1.json", tmp_path / "jobs2.json"]
+    for jobs, report in zip(("1", "2"), reports):
+        out = runner.invoke(main, args + ["--seed", "3", "--jobs", jobs, "--out", str(report)])
+        assert out.exit_code == 0, out.output
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
 def test_verify_mdp_manifest_records_target(runner, tmp_path):
     report = tmp_path / "mdp.json"
     out = runner.invoke(
@@ -307,7 +325,6 @@ _HALF = "halfspace normal and level must be finite"
 _TARGET = "--target must be a finite number"
 _TOL = "tol must be a finite number >= 0"
 _DISTINCT = "eps values must be distinct"
-_JOBS = "jobs must be an integer >= 1"
 _SEED = "-1 is not in the range x>=0"
 
 
@@ -337,12 +354,12 @@ _SEED = "-1 is not in the range x>=0"
           "--target", "0.125"], _DISTINCT),
         (["verify-limit", "--eps-list", "0.1,0.2,0.1"], _DISTINCT),
         (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--jobs", "0"],
-         _JOBS),
+         "0 is not in the range x>=1"),
         (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--jobs", "-2"],
-         _JOBS),
+         "-2 is not in the range x>=1"),
         (["verify-mdp", "--event", "half:1.0:0.5", "--target", "0.125", "--jobs", "0"],
-         _JOBS),
-        (["verify-limit", "--jobs", "-1"], _JOBS),
+         "0 is not in the range x>=1"),
+        (["verify-limit", "--jobs", "-1"], "-1 is not in the range x>=1"),
         (["verify-ldp", "--event", "half:1.0:1.0", "--target", "0.125", "--seed", "-1"],
          _SEED),
         (["rate", "--event", "half:1.0:1.0", "--seed", "-1"], _SEED),
@@ -482,6 +499,15 @@ def test_auto_target_error_comes_before_the_ladder_error(runner, monkeypatch, fo
     out = runner.invoke(main, _JUMP_AUTO)
     assert out.exit_code == 3
     assert out.output == "numerical failure: optimizer blew up\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "1.5"])
+def test_bad_jobs_exits_2_before_anything_forks(runner, monkeypatch, forks, jobs):
+    monkeypatch.setattr(verify, "simulate_lanes", _raise(AssertionError("simulated")))
+    out = runner.invoke(main, _JUMP_AUTO + ["--target", "auto", "--jobs", jobs])
+    assert out.exit_code == 2, out.output
+    assert "Invalid value for '--jobs'" in out.output
+    assert forks[0] == []
 
 
 def test_ladder_error_under_auto_target_keeps_its_message(runner, forks):

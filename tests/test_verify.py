@@ -86,8 +86,8 @@ def test_check_ldp_smoke_and_jobs_determinism(example11):
     grid = make_time_grid(1.0, 100)
     event = EventSpec.halfspace([1.0], np.e + 0.5)
     kw = dict(n_particles=2000, seed=3, target=0.125, tol=0.5)
-    r1 = check_ldp(example11, grid, [0.3, 0.2], event, jobs=1, **kw)
-    r2 = check_ldp(example11, grid, [0.3, 0.2], event, jobs=2, **kw)
+    r1 = check_ldp(example11, grid, [0.3, 0.2], event, **kw)
+    r2 = check_ldp(example11, grid, [0.3, 0.2], event, **kw)
     assert r1.to_dict() == r2.to_dict()
     assert r1.kind == "ldp"
     assert [row.eps for row in r1.rows] == [0.3, 0.2]
@@ -113,7 +113,7 @@ def test_check_mdp_smoke(example11):
     event = EventSpec.halfspace([1.0], 0.5)
     rep = check_mdp(
         example11, grid, [0.01, 0.004], event, 4000, seed=1,
-        target=0.125, tol=0.5, jobs=2,
+        target=0.125, tol=0.5,
     )
     assert rep.kind == "mdp"
     assert all(row.a is not None and 0 < row.a < 1 for row in rep.rows)
@@ -134,7 +134,7 @@ def test_check_mdp_validates_a_exp(example11):
 def test_check_limit_convergence_smoke(example11):
     grid = make_time_grid(1.0, 100)
     rep = check_limit_convergence(
-        example11, grid, [0.2, 0.1, 0.05], n_particles=400, seed=0, jobs=2
+        example11, grid, [0.2, 0.1, 0.05], n_particles=400, seed=0
     )
     assert rep.kind == "limit_convergence"
     assert len(rep.values) == 3
@@ -254,25 +254,3 @@ def test_demo_memory_does_not_grow_with_steps():
             tracemalloc.stop()
 
     assert peak(800) <= 1.5 * peak(200)
-
-
-def test_ladders_do_not_depend_on_jobs(logistic):
-    # jobs is accepted, but every ladder runs its rungs as one simulation
-    # from the ladder seed, so every report is the same
-    grid = make_time_grid(1.0, 50)
-    ladder = [0.2, 0.1, 0.05]
-    runs = {
-        "ldp": lambda jobs: check_ldp(
-            logistic, grid, ladder, EventSpec.halfspace([1.0], 0.8), 1500, 5, jobs=jobs
-        ),
-        "mdp": lambda jobs: check_mdp(
-            logistic, grid, [0.02, 0.01, 0.005], EventSpec.halfspace([1.0], 0.3), 1500, 5,
-            jobs=jobs,
-        ),
-        "limit": lambda jobs: check_limit_convergence(logistic, grid, ladder, 1500, 5, jobs=jobs),
-    }
-    for kind, run in runs.items():
-        reports = [asdict(run(jobs)) for jobs in (1, 2, 3)]
-        if kind != "limit":
-            assert all(row["hits"] > 0 for row in reports[0]["rows"])
-        assert reports[0] == reports[1] == reports[2], kind
