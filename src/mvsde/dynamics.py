@@ -51,8 +51,8 @@ followed by the step's accepted jumps, X += eps * G, applied in time
 order per particle. While the compensator is one row (below), G reads no x
 (models), and G is evaluated once per present mark cell over that cell's
 jumps at their own times; when each answer is one row, the jumps land after
-X += increment in one ordered scatter (np.add.at, one add at a time in
-(stream, time) order) from a (C, d) table of eps * G (_jump_table). Any
+X += increment in one scatter (np.add.at, one add at a time in the order
+the jumps come in) from a (C, d) table of eps * G (_jump_table). Any
 other G (one that reads x, or t per jump) takes the rank loop
 (_apply_jumps): grouped by occurrence rank, vectorized across particles, on
 a gathered copy of the jumping particles' post-drift states. Both give each
@@ -62,10 +62,15 @@ shared by all lanes. Every coefficient call still sees the left-endpoint
 cloud through law.cloud: the jump coefficients run before the cloud moves
 or on a gathered copy, and the lanes move last to first while a lane reads
 only an earlier lane, so each reader moves before the cloud it reads. The
-step's jumps are sampled inside the loop, sorted once (levy.propose_step)
-and masked per lane (levy.thin_step, which keeps the (stream, time) order and
-ranks nothing), so no lane sorts and memory holds one step's jumps, not the
-horizon's. The compensator is summed atom by atom;
+step's jumps are sampled inside the loop (levy.propose_step) and masked per
+lane (levy.thin_step, which keeps the order it is given and ranks nothing),
+so memory holds one step's jumps, not the horizon's. They come in draw
+order. A lane whose bits depend on (stream, time) order (the rank loop, or
+a table lane on a step that proposes two or more mark cells) thins them as
+levy.time_order sorts them, once per step, on first need, shared by the
+later lanes. A table lane on a step that proposes one cell scatters them in
+draw order: every jump of a particle then adds the same table row, so the
+order of the adds moves no bit. The compensator is summed atom by atom;
 with three or more mark atoms its last bit can differ from an einsum's.
 While every atom's G has its rows all equal (a (d,) value, or a view with
 row stride 0, as pure_jump and the JSON models give) it is summed as one
@@ -126,7 +131,7 @@ from .core import (
 )
 from .errors import GridMismatchError, InvalidArgumentError
 from .levy import sample_controlled_prm  # noqa: F401 -- perfbench/tracing.py wraps it here
-from .levy import propose_step, thin_step
+from .levy import propose_step, thin_step, time_order
 from .rng import SeedBlock
 from .skeleton import _field, _guard, _matvec
 from .skeleton import solve_limit_ode  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -233,9 +238,10 @@ def _check_memory(lanes, spec: ModelSpec, grid: TimeGrid, n_particles: int, jump
             need += 16.0 * n_particles  # sup_sq and the squared distances
     if spec.has_jumps:
         # the proposals of the longest step, Poisson, bounded by mean + 10 sd;
-        # each holds about 16 + 4 d 8-byte words at once (propose_step's
-        # arrays and sort key, a lane's thinned copy, the scatter's indices
-        # and values)
+        # each holds at most about 16 + 4 d 8-byte words at once
+        # (propose_step's arrays, time_order's key, order and sorted copy
+        # when a lane needs them, a lane's thinned copy, the scatter's
+        # indices and values)
         mean = n_particles * jump_rate * float(np.sum(spec.intensity.masses) * grid.dt.max())
         need += (mean + 10.0 * math.sqrt(mean)) * 8.0 * (16 + 4 * spec.dim)
     if need > limit:
@@ -404,8 +410,8 @@ def _jump_table(streams, times, cells, x, law, spec, eps):
 
 
 def _scatter_jumps(x, streams, cells, table):
-    """x[s] += table[c] for each jump (s, c), one add at a time in the jumps'
-    (stream, time) order, through flat indices s * d + component of the
+    """x[s] += table[c] for each jump (s, c), one add at a time in the order
+    the jumps are given, through flat indices s * d + component of the
     C-contiguous cloud x."""
     d = x.shape[1]
     at = streams if d == 1 else (streams[:, None] * d + np.arange(d)).ravel()
@@ -609,6 +615,11 @@ def simulate_lanes(
             if spec.has_jumps:
                 proposal = propose_step(spec.intensity, 1.0 / eps_ref, t_k, dt, hi, big_n, sb.jumps)
                 n_proposed += proposal[0].size
+                # cells come ascending, so the step proposes one cell iff the
+                # first and the last agree
+                cells = proposal[2]
+                one_cell = cells.size == 0 or cells[0] == cells[-1]
+                ordered = None  # time_order(proposal), sorted on first need
             # last to first: a lane reads only earlier lanes, which move after it
             for i in reversed(range(len(lanes))):
                 x, law, sig, ctl = xs[i], laws[i], sigs[i], controls[i]
@@ -645,15 +656,27 @@ def simulate_lanes(
                     inc = _join(np.subtract, inc, comp, incr)
                     if comp is noise:
                         noise_scale = None
-                    jumps = thin_step(proposal, thin_psi[i][k])
-                    n_jumps[i] += jumps[0].size
                     # a G that gives the cloud one row reads no x (models): its
-                    # jumps land in one scatter if it gives each cell one row
-                    table = None if comp.ndim == 2 else _jump_table(
-                        *jumps, x, law, spec, lanes[i].eps
-                    )
+                    # jumps land in one scatter if it gives each cell one row.
+                    # With one cell every jump of a particle adds the same
+                    # row, so that scatter takes the jumps in draw order
+                    draw_order = one_cell and comp.ndim == 1
+                    table = None
+                    if draw_order:
+                        jumps = thin_step(proposal, thin_psi[i][k])
+                        table = _jump_table(*jumps, x, law, spec, lanes[i].eps)
                     if table is None:
-                        movers, moved = _apply_jumps(*jumps, x, inc, law, spec, lanes[i].eps)
+                        # the rank loop and a table over two or more cells
+                        # read the jumps in (stream, time) order; a G that
+                        # gave no table in draw order gives none here either
+                        if ordered is None:
+                            ordered = time_order(proposal, big_n)
+                        jumps = thin_step(ordered, thin_psi[i][k])
+                        if comp.ndim == 1 and not draw_order:
+                            table = _jump_table(*jumps, x, law, spec, lanes[i].eps)
+                        if table is None:
+                            movers, moved = _apply_jumps(*jumps, x, inc, law, spec, lanes[i].eps)
+                    n_jumps[i] += jumps[0].size
                 x += inc
                 if spec.has_jumps and table is None:
                     x[movers] = moved

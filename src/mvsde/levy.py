@@ -4,12 +4,14 @@ Sampling is by thinning from the dominating intensity rate_scale * hi * nu:
 a proposed jump at (s, z_j) is accepted iff u * hi < psi(s, z_j) with
 u ~ U[0,1). The engine samples one time cell at a time, so memory holds
 the jumps of one step, never the whole horizon. Each step is one proposal
-draw, sorted once by (stream, time) after the draws (propose_step), then
-one sort-free pass per psi row that thins with a mask (thin_step), which
-keeps the jumps in that order and does not rank them (sample_step ranks
-them with a running count); lanes stepped in lockstep share the proposals,
-drawn at the run's rate bound, and each thins them with its own psi,
-scaled by its own eps (dynamics.simulate_lanes). Per step the draw order
+draw (propose_step), left in draw order, cells ascending; time_order sorts
+it by (stream, time), once, for the readers whose bits depend on that
+order. Then one sort-free pass per psi row thins it with a mask
+(thin_step), which keeps the jumps in the order it is given and does not
+rank them (sample_step time-orders and ranks them with a running count);
+lanes stepped in lockstep share the proposals, drawn at the run's rate
+bound, and each thins them with its own psi, scaled by its own eps
+(dynamics.simulate_lanes). Per step the draw order
 is fixed: Poisson proposal counts per cell for all streams together
 (superposition), then a uniform stream index per proposal, then its
 in-step time uniform, then its acceptance uniform. Counts depend only on
@@ -34,6 +36,7 @@ __all__ = [
     "IntensityMeasure",
     "JumpStream",
     "propose_step",
+    "time_order",
     "thin_step",
     "sample_step",
     "sample_prm",
@@ -110,7 +113,8 @@ def propose_step(
     rng: np.random.Generator,
 ):
     """Proposed jumps of one time cell [t0, t0 + dt) at the dominating rate
-    rate_scale * hi * nu: (stream, time, cell, u * hi), sorted by (stream, time)."""
+    rate_scale * hi * nu: (stream, time, cell, u * hi, u) in draw order, cells
+    ascending, where u is the in-step time uniform (time_order's key)."""
     # Proposal counts per cell for all streams at once (superposition).
     lam = n_streams * rate_scale * hi * dt * intensity.masses
     cell = np.repeat(np.arange(intensity.n_cells), rng.poisson(lam))
@@ -118,17 +122,25 @@ def propose_step(
     # Times are drawn per proposal, independent of its cell and its stream.
     u = rng.random(cell.size)
     u_hi = rng.random(cell.size) * hi
+    return stream, t0 + u * dt, cell, u_hi, u
+
+
+def time_order(proposal, n_streams: int):
+    """The proposals of propose_step over n_streams streams sorted by
+    (stream, time): (stream, time, cell, u * hi)."""
+    stream, time, cell, u_hi, u = proposal
     # One quicksort on an exact integer key: the stream in the high bits, the
     # leading bits of u (time is monotone in u) below it.
     bits = min(53, 63 - int(n_streams - 1).bit_length())
     order = np.argsort((u * 2.0**bits).astype(np.int64) | stream << bits)
-    return tuple(np.take(a, order) for a in (stream, t0 + u * dt, cell, u_hi))
+    return tuple(np.take(a, order) for a in (stream, time, cell, u_hi))
 
 
 def thin_step(proposal, psi_k: np.ndarray):
     """Keep the proposals with u * hi < psi_k[cell]: (stream, time, cell) in
-    the proposals' (stream, time) order. The kept jumps are not ranked."""
-    stream, time, cell, u_hi = proposal
+    the order of proposal (propose_step's draw order, or time_order's). The
+    kept jumps are not ranked."""
+    stream, time, cell, u_hi = proposal[:4]
     # integer gathers beat boolean compresses on a random keep mask
     keep = np.flatnonzero(u_hi < psi_k[cell])
     if keep.size < stream.size:
@@ -150,7 +162,7 @@ def sample_step(
     in (stream, time) order, where rank is the occurrence index of a jump
     within its stream."""
     proposal = propose_step(intensity, rate_scale, t0, dt, hi, n_streams, rng)
-    stream, time, cell = thin_step(proposal, psi_k)
+    stream, time, cell = thin_step(time_order(proposal, n_streams), psi_k)
     idx = np.arange(stream.size)
     first = np.concatenate(([True], stream[1:] != stream[:-1]))
     rank = idx - np.maximum.accumulate(np.where(first, idx, 0))

@@ -8,7 +8,8 @@ substreams, fixed in this order:
                one in _BANDS row bands, band i from an SFC64 generator on
                the i-th child that index 0 spawns
     index 1 -> jump sampling (per step: counts, stream indices, times,
-               acceptance uniforms; sorted by (stream, time) only after),
+               acceptance uniforms; sorted by (stream, time) only after,
+               and only when a lane's bits depend on that order),
                from a PCG64 generator (np.random.default_rng)
 
 The Brownian draw is the critical path of every run with sigma != 0, and
@@ -36,11 +37,12 @@ seed reproduces trajectories bit for bit, including the split between plain
 and controlled jump sampling (both consume the jump stream in the same fixed
 draw order). Lockstep lanes share one SeedBlock: per step, one Brownian
 increment, which each lane scales by its own sqrt(eps), and one jump
-proposal set at the run's rate bound, sorted once, that each lane masks
-with its own psi and eps. A lane is bit-identical to its solo run when its
-rate bound is the run's, otherwise equal in law. Brownian increments are
-drawn only at steps where some lane's diffusion is not identically zero,
-so a model with sigma = 0 leaves the Brownian substream untouched.
+proposal set at the run's rate bound, sorted at most once, that each lane
+masks with its own psi and eps. A lane is bit-identical to its solo run
+when its rate bound is the run's, otherwise equal in law. Brownian
+increments are drawn only at steps where some lane's diffusion is not
+identically zero, so a model with sigma = 0 leaves the Brownian substream
+untouched.
 """
 from __future__ import annotations
 

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsde.core import (
     Control,
@@ -560,8 +562,10 @@ def test_one_row_jump_coefficient_broadcasts(pure_jump):
     )
 
 
-def test_lanes_share_one_sort_per_step(pure_jump, monkeypatch):
-    # the proposals are sorted once per step, whatever the number of lanes
+def test_lanes_share_one_sort_per_step(tmp_path, monkeypatch):
+    # a lane that needs the proposals in (stream, time) order shares one sort
+    # per step with the other lanes; one-cell jumps that land in one scatter
+    # (pure_jump) take them in draw order and sort nothing
     calls = []
     argsort = np.argsort
 
@@ -571,12 +575,77 @@ def test_lanes_share_one_sort_per_step(pure_jump, monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counting_argsort)
     grid = make_time_grid(1.0, 40)
-    counts = []
-    for ladder in ([0.05], [0.2, 0.1, 0.05]):
-        calls.clear()
-        simulate_lanes(pure_jump, grid, [Lane(eps) for eps in ladder], 500, seed=2)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    specs = {
+        "pure_jump": get_model("pure_jump"),
+        "logistic_mf": get_model("logistic_mf"),  # the rank loop
+        "two_atoms": _affine_jump_model(tmp_path, 2),  # a two-cell table
+    }
+    counts = {}
+    for name, spec in specs.items():
+        for ladder in ([0.05], [0.2, 0.1, 0.05]):
+            calls.clear()
+            simulate_lanes(spec, grid, [Lane(eps) for eps in ladder], 500, seed=2)
+            counts.setdefault(name, []).append(len(calls))
+    assert counts["pure_jump"] == [0, 0]
+    for name in ("logistic_mf", "two_atoms"):
+        assert counts[name][0] == counts[name][1] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_particles=st.integers(1, 12),
+    d=st.sampled_from([1, 2]),
+    row=st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=2, max_size=2
+    ),
+)
+def test_one_cell_scatter_does_not_depend_on_jump_order(seed, n_particles, d, row):
+    # every jump of a particle adds the same table row when one cell is
+    # proposed, so the scatter gives the same bits in draw order and in
+    # (stream, time) order, however often a stream repeats
+    from mvsde.dynamics import _scatter_jumps
+    from mvsde.levy import propose_step, thin_step, time_order
+
+    rng = np.random.default_rng(seed)
+    intensity = IntensityMeasure(np.array([[1.0]]), np.array([1.0]))
+    proposal = propose_step(intensity, 40.0, 0.0, 0.1, 2.0, n_particles, rng)
+    x0 = rng.standard_normal((n_particles, d)) * 10.0 ** rng.integers(-3, 4, (n_particles, d))
+    table = np.array(row[:d])[None]
+    psi_k = np.array([rng.uniform(0.5, 2.0)])
+    clouds = []
+    for jumps in (thin_step(proposal, psi_k), thin_step(time_order(proposal, n_particles), psi_k)):
+        x = x0.copy()
+        _scatter_jumps(x, jumps[0], jumps[2], table)
+        clouds.append(x.tobytes())
+    assert clouds[0] == clouds[1]
+
+
+def test_two_cell_steps_thin_the_time_ordered_set(tmp_path, monkeypatch):
+    # a table lane on a step that proposes two cells thins the proposals in
+    # (stream, time) order; a one-cell step thins them in draw order
+    import mvsde.dynamics as dynamics
+
+    seen = []
+    thin_step = dynamics.thin_step
+
+    def recording_thin_step(proposal, psi_k):
+        stream, time = proposal[0], proposal[1]
+        ordered = np.array_equal(np.lexsort((time, stream)), np.arange(stream.size))
+        seen.append((np.unique(proposal[2]).size, ordered))
+        return thin_step(proposal, psi_k)
+
+    monkeypatch.setattr(dynamics, "thin_step", recording_thin_step)
+    grid = make_time_grid(1.0, 40)
+    lanes = [Lane(0.2), Lane(0.1)]
+    simulate_lanes(_affine_jump_model(tmp_path, 2), grid, lanes, 300, seed=4)
+    assert len(seen) == 80
+    assert all(ordered for cells, ordered in seen if cells >= 2)
+    assert any(cells >= 2 for cells, _ in seen)
+    seen.clear()
+    simulate_lanes(get_model("pure_jump"), grid, lanes, 300, seed=4)
+    assert len(seen) == 80
+    assert not all(ordered for _, ordered in seen)
 
 
 def _shared_work_cases(name):

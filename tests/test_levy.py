@@ -12,6 +12,7 @@ from mvsde.levy import (
     sample_prm,
     sample_step,
     thin_step,
+    time_order,
 )
 
 
@@ -95,12 +96,12 @@ def _rank_by_sorting(proposal, psi_k, n_streams):
 def test_sort_free_ranks_match_the_sorting_reference():
     # dense two-cell proposals (about 18 per stream at hi = 2) on 2^8 + 1
     # streams; the reference sees them shuffled, so it cannot lean on the
-    # (stream, time) order that propose_step hands to thin_step, while
+    # (stream, time) order that time_order hands to thin_step, while
     # sample_step draws the same proposals from the same generator state
     m = two_cell()
     n_streams = 257
     rng = np.random.default_rng(21)
-    proposal = propose_step(m, 3.0, 0.25, 2.0, 2.0, n_streams, rng)
+    proposal = time_order(propose_step(m, 3.0, 0.25, 2.0, 2.0, n_streams, rng), n_streams)
     perm = rng.permutation(proposal[0].size)
     shuffled = tuple(a[perm] for a in proposal)
     for psi_k in ([1.0, 1.0], [0.5, 2.0], [2.0, 2.0], [0.1, 1.3], [2.0, 0.0]):
@@ -114,11 +115,26 @@ def test_sort_free_ranks_match_the_sorting_reference():
         assert got[3].max() >= 5
 
 
+def test_proposals_come_in_draw_order():
+    # cells ascending as drawn; time_order permutes the same proposals into
+    # (stream, time) order
+    m = two_cell()
+    stream, time, cell, u_hi, u = propose_step(m, 2.0, 0.0, 1.0, 2.0, 50, np.random.default_rng(6))
+    assert np.all(np.diff(cell) >= 0) and 0 < np.count_nonzero(cell) < cell.size
+    ordered = time_order((stream, time, cell, u_hi, u), 50)
+    order = np.lexsort((time, stream))
+    for a, b in zip(ordered, (stream, time, cell, u_hi)):
+        np.testing.assert_array_equal(a, b[order])
+
+
 def test_shared_proposals_thin_monotonically():
     # one proposal set at hi = 2: every jump kept at psi = 1 is kept at psi = 2,
-    # and with one psi row the split sampler makes exactly sample_step's draws
+    # and with one psi row the split sampler, time-ordered, makes exactly
+    # sample_step's draws
     m = two_cell()
-    proposal = propose_step(m, 2.0, 0.0, 1.0, 2.0, 500, np.random.default_rng(4))
+    proposal = time_order(
+        propose_step(m, 2.0, 0.0, 1.0, 2.0, 500, np.random.default_rng(4)), 500
+    )
     low = thin_step(proposal, np.ones(2))
     high = thin_step(proposal, np.full(2, 2.0))
     assert high[0].size == proposal[0].size > 1.5 * low[0].size
