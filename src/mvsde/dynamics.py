@@ -22,23 +22,17 @@ the Brownian substream is left untouched.
 
 The increment's standard normals come in one raw (N, d) block per noisy
 step, scaled by sqrt(dt) at that step, from the seed's Brownian substream
-(rng.BrownianBands): a block of at least rng._BANDED_MIN normals in
-rng._BANDS fixed row bands, band i from its own SFC64 generator, a smaller
-one whole from one SFC64 generator. The draw is the critical path of every
-run with sigma != 0. The jump draws come from the PCG64 jump substream. A
-block of at least _READ_AHEAD_MIN normals is read ahead by one worker
-thread per call (_ReadAhead) while the lanes move, into one extra (N, d)
-block, and the two threads share it: the worker takes the block's bands
-in order from a shared queue, and when the lanes are done first, the main
-thread draws the bands still queued and waits only for the band the
-worker is drawing. Each band comes from its own generator, in block
-order, so the bits depend on the seed, N and d only, not on which thread
-drew a band, nor on _READ_AHEAD_MIN. Smaller blocks are drawn inline, and
-a run whose sigma is zero at every step starts no thread. The worker stops
-before simulate_lanes returns or raises, and a draw that fails on either
-thread raises on the caller. Before its first allocation, simulate_lanes
-adds up the buffers it will hold and refuses a run that cannot fit in
-memory (_check_memory).
+(rng.BrownianBands: SFC64, in fixed row bands from rng._BANDED_MIN normals
+on); the jump draws come from the PCG64 jump substream. The draw is the
+critical path of every run with sigma != 0, so a block of at least
+_READ_AHEAD_MIN normals is read ahead by one worker thread (_ReadAhead)
+while the lanes move, and the main thread draws the bands that the worker
+has not reached. Each band comes from its own generator, so the bits depend
+on the seed, N and d only, not on which thread drew a band, nor on
+_READ_AHEAD_MIN. Smaller blocks are drawn inline, a run whose sigma is zero
+at every step starts no thread, and a draw that fails on either thread
+raises on the caller. Before its first allocation, simulate_lanes refuses a
+run that cannot fit in memory (_check_memory).
 
 Per step k, with the law frozen at the left endpoint:
 
@@ -87,6 +81,14 @@ Jumps arrive at the tilted rate psi / eps; their compensator
 dt * sum_j G psi_kj nu_j and the control shift dt * sum_j G (psi_kj - 1) nu_j
 cancel to the plain compensator, so psi acts only through the thinning.
 
+The divergence guard stops a run at the first step after which a cloud has
+an entry beyond L = skeleton._DIVERGENCE_LIMIT or a non-finite one. A lane
+carries bounds (lo, hi) on its entries through each step that moves it by
+one row c, to fl(lo + min c) and fl(hi + max c) (rounding is monotone), and
+folds in its jumpers' end-of-step rows; a per-particle increment, or bounds
+that are NaN or leave [-L, L], runs the exact test (skeleton._guard), whose
+min and max become the bounds (_carry_bounds).
+
 Work that lanes share is done once per step, in the same operations and
 order as per lane, so no bit changes: one LawSummary per cloud read (a
 lane that reads lane j reuses lane j's), whose mean is taken on its first
@@ -132,6 +134,7 @@ from .core import (
 from .errors import GridMismatchError, InvalidArgumentError
 from .levy import sample_controlled_prm  # noqa: F401 -- perfbench/tracing.py wraps it here
 from .levy import propose_step, thin_step, time_order
+from . import skeleton
 from .rng import SeedBlock
 from .skeleton import _field, _guard, _matvec
 from .skeleton import solve_limit_ode  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -223,30 +226,32 @@ def _check_memory(lanes, spec: ModelSpec, grid: TimeGrid, n_particles: int, jump
     allocated: the lanes' clouds, the three step buffers and the read-ahead
     spare, the recorders, and one step's proposed jumps at jump_rate * nu
     per particle. Temporaries that the model's coefficients return are not
-    counted."""
+    counted. Sizes add up in MiB, so that even a huge count stays finite."""
     limit = _memory_limit()
     if limit is None:
         return
-    n_nodes, block = grid.n_steps + 1, 8.0 * n_particles * spec.dim
+    word = 8.0 / 2**20  # MiB per float64
+    n_nodes, block = grid.n_steps + 1, word * n_particles * spec.dim
     need = (len(lanes) + 4) * block
     for lane in lanes:
         if lane.record == "full":
             need += n_nodes * block
         elif lane.record == "mean":
-            need += 8.0 * n_nodes * spec.dim
+            need += word * n_nodes * spec.dim
         if lane.reference is not None:
-            need += 16.0 * n_particles  # sup_sq and the squared distances
+            need += 2 * word * n_particles  # sup_sq and the squared distances
     if spec.has_jumps:
         # the proposals of the longest step, Poisson, bounded by mean + 10 sd;
-        # each holds at most about 16 + 4 d 8-byte words at once
-        # (propose_step's arrays, time_order's key, order and sorted copy
-        # when a lane needs them, a lane's thinned copy, the scatter's
-        # indices and values)
-        mean = n_particles * jump_rate * float(np.sum(spec.intensity.masses) * grid.dt.max())
-        need += (mean + 10.0 * math.sqrt(mean)) * 8.0 * (16 + 4 * spec.dim)
-    if need > limit:
+        # each holds at most about 16 + 4 d words at once (propose_step's
+        # arrays, time_order's key, order and sorted copy when a lane needs
+        # them, a lane's thinned copy, the scatter's indices and values, then
+        # the jumpers' gathered end-of-step rows); held is word * mean
+        held = word * n_particles * jump_rate * float(spec.intensity.masses.sum() * grid.dt.max())
+        need += (held + 10.0 * math.sqrt(word * held)) * (16 + 4 * spec.dim)
+    if need > limit / 2**20:
+        size = f"{need:,.0f}" if need < 1e12 else f"{need:.3g}"
         raise InvalidArgumentError(
-            f"the run needs about {need / 2**20:,.0f} MiB of memory, more than "
+            f"the run needs about {size} MiB of memory, more than "
             f"the {limit / 2**20:,.0f} MiB this process may use"
         )
 
@@ -386,7 +391,9 @@ def _join(op, inc, term, out):
 
 
 def _present_cells(cells, n_cells):
-    """The mark cells that occur in cells, in ascending order."""
+    """The mark cells that occur in cells, in ascending order (one cell: no scan)."""
+    if n_cells == 1:
+        return np.arange(min(cells.size, 1))
     seen = np.zeros(n_cells, dtype=bool)
     seen[cells] = True
     return np.flatnonzero(seen)
@@ -412,10 +419,25 @@ def _jump_table(streams, times, cells, x, law, spec, eps):
 def _scatter_jumps(x, streams, cells, table):
     """x[s] += table[c] for each jump (s, c), one add at a time in the order
     the jumps are given, through flat indices s * d + component of the
-    C-contiguous cloud x."""
+    C-contiguous cloud x; a (1, 1) table's one entry is added ungathered."""
     d = x.shape[1]
     at = streams if d == 1 else (streams[:, None] * d + np.arange(d)).ravel()
-    np.add.at(x.reshape(-1), at, table[cells].ravel())
+    rows = table[0, 0] if table.shape == (1, 1) else np.take(table, cells, axis=0).ravel()
+    np.add.at(x.reshape(-1), at, rows)
+
+
+def _carry_bounds(x, k, bounds, inc, jumped):
+    """Step k's divergence guard (module docstring): bounds (lo, hi) on x, carried
+    from bounds by a one-row inc and the jumpers' rows jumped, or _guard's."""
+    lo = hi = np.nan
+    if inc.ndim == 1:
+        lo, hi = bounds[0] + inc.min(), bounds[1] + inc.max()
+        if jumped is not None and jumped.size:
+            # np.minimum and np.maximum keep a NaN; min() and max() may drop it
+            lo, hi = np.minimum(lo, jumped.min()), np.maximum(hi, jumped.max())
+    if -skeleton._DIVERGENCE_LIMIT <= lo and hi <= skeleton._DIVERGENCE_LIMIT:
+        return lo, hi
+    return _guard(x, k, "particle system")
 
 
 def _apply_jumps(streams, times, cells, x, incr, law, spec, eps):
@@ -583,6 +605,7 @@ def simulate_lanes(
     # the read-ahead swaps its spare block in for dw
     dw, incr, noise = (np.empty((big_n, d)) for _ in range(3))
     xs = [np.tile(spec.initial, (big_n, 1)) for _ in lanes]
+    bounds = [(spec.initial.min(), spec.initial.max())] * len(lanes)  # _carry_bounds
     for rec, x in zip(recs, xs):
         rec.record(0, x, incr)
     sqrt_eps = [float(np.sqrt(lane.eps)) for lane in lanes]
@@ -678,11 +701,13 @@ def simulate_lanes(
                             movers, moved = _apply_jumps(*jumps, x, inc, law, spec, lanes[i].eps)
                     n_jumps[i] += jumps[0].size
                 x += inc
+                jumped = None  # the jumpers' end-of-step rows, when the bounds need them
                 if spec.has_jumps and table is None:
-                    x[movers] = moved
+                    x[movers] = jumped = moved
                 elif spec.has_jumps:
                     _scatter_jumps(x, jumps[0], jumps[2], table)
-                _guard(x, k, "particle system")
+                    jumped = np.take(x, jumps[0], axis=0) if inc.ndim == 1 else None
+                bounds[i] = _carry_bounds(x, k, bounds[i], inc, jumped)
                 recs[i].record(k + 1, x, incr)
 
     return [

@@ -139,12 +139,14 @@ def time_order(proposal, n_streams: int):
 def thin_step(proposal, psi_k: np.ndarray):
     """Keep the proposals with u * hi < psi_k[cell]: (stream, time, cell) in
     the order of proposal (propose_step's draw order, or time_order's). The
-    kept jumps are not ranked."""
+    kept jumps are not ranked. With one mark cell, every proposal is compared
+    with its one threshold, and neither psi_k nor cell is gathered."""
     stream, time, cell, u_hi = proposal[:4]
     # integer gathers beat boolean compresses on a random keep mask
-    keep = np.flatnonzero(u_hi < psi_k[cell])
+    keep = np.flatnonzero(u_hi < (psi_k[0] if psi_k.size == 1 else psi_k[cell]))
     if keep.size < stream.size:
-        stream, time, cell = (np.take(a, keep) for a in (stream, time, cell))
+        stream, time = np.take(stream, keep), np.take(time, keep)
+        cell = cell[: keep.size] if psi_k.size == 1 else np.take(cell, keep)  # one cell: all 0
     return stream, time, cell
 
 

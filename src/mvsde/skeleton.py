@@ -71,9 +71,12 @@ def _field(spec: ModelSpec, t: float, x: np.ndarray) -> np.ndarray:
 
 
 def _guard(x: np.ndarray, step: int, what: str = "limit dynamics"):
-    # no temporary; NaN fails the comparisons, so it trips the guard too
-    if not (x.max() <= _DIVERGENCE_LIMIT and x.min() >= -_DIVERGENCE_LIMIT):
+    """x's min and max, in two passes and no temporary; DivergenceError when
+    an entry is NaN or beyond _DIVERGENCE_LIMIT (read at call time)."""
+    hi, lo = x.max(), x.min()
+    if not (hi <= _DIVERGENCE_LIMIT and lo >= -_DIVERGENCE_LIMIT):
         raise DivergenceError(f"{what} diverged at step {step}", step=step)
+    return lo, hi
 
 
 def solve_limit_ode(spec: ModelSpec, grid: TimeGrid) -> Path:

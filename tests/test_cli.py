@@ -648,6 +648,21 @@ def test_a_run_over_the_memory_budget_exits_2(runner, monkeypatch, args):
     )
 
 
+@pytest.mark.parametrize("extra", [["--eps", "1e-300"], ["--horizon", "1e308"]])
+def test_a_run_far_over_the_budget_prints_a_short_count(runner, monkeypatch, extra):
+    # a proposal count past 1e300 once printed as 300 digits, or as inf
+    monkeypatch.setattr(dynamics, "_memory_limit", lambda: 8 * 2**30)
+    args = ["simulate", "--model", "pure_jump", "--particles", "3", "--steps", "5", *extra]
+    out = runner.invoke(main, args)
+    assert out.exit_code == 2
+    assert len(out.output) < 200
+    assert re.fullmatch(
+        r"error: the run needs about \d\.\d\de\+\d{3} MiB of memory, more than the 8,192 MiB "
+        r"this process may use\n",
+        out.output,
+    )
+
+
 def test_a_trillion_particles_exit_2_before_allocating(runner, monkeypatch):
     monkeypatch.setattr(dynamics, "_memory_limit", lambda: 8 * 2**30)
     out = runner.invoke(main, ["simulate", "--particles", "1000000000000", "--steps", "2"])

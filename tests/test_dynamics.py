@@ -248,6 +248,125 @@ def test_divergence_guard_passes_a_large_cloud_within_the_limit():
     _guard(cloud, 0)
 
 
+def test_divergence_guard_catches_a_nan_row_drift():
+    # a one-row drift moves the cloud by carried bounds; NaN from t = 0.5
+    # (step 50) makes them NaN, so the exact test runs there and trips
+    nan_row = ModelSpec(
+        name="nan_row",
+        dim=1,
+        initial=np.array([1.0]),
+        drift=lambda t, x, law: np.full(1, np.nan if t > 0.495 else 1.0),
+        diffusion=lambda t, x, law: np.zeros((1, 1)),
+    )
+    with pytest.raises(DivergenceError) as err:
+        simulate_mvsde(nan_row, make_time_grid(1.0, 100), 1e-4, 8, seed=0, record="summary")
+    assert err.value.step == 50
+
+
+def test_divergence_guard_catches_a_nan_row_jump(pure_jump):
+    # a one-row G that is NaN when every time it is handed is past 0.495: the
+    # jumps of step 49 include earlier times, the compensator of step 50
+    # (t = 0.5) does not
+    nan_jump = dataclasses.replace(
+        pure_jump, jump=lambda t, x, law, z: np.full(1, np.nan if np.min(t) > 0.495 else 1.0)
+    )
+    with pytest.raises(DivergenceError) as err:
+        simulate_mvsde(nan_jump, make_time_grid(1.0, 100), 0.05, 200, seed=0, record="summary")
+    assert err.value.step == 50
+
+
+@pytest.mark.parametrize("rows", [lambda t: 1, np.size], ids=["table", "rank_loop"])
+def test_divergence_guard_catches_nan_that_only_the_jumps_carry(pure_jump, rows):
+    # G is 1 at the step's left endpoint (a scalar t) and NaN at the jumps'
+    # own times, so the compensator and the carried row stay finite and only
+    # the jumpers' rows turn NaN, at the first step with a jump (step 0);
+    # one row lands from a table, one row per jump takes the rank loop
+    nan_jumps = dataclasses.replace(
+        pure_jump,
+        jump=lambda t, x, law, z: np.full((rows(t), 1), np.nan if np.ndim(t) else 1.0),
+    )
+    with pytest.raises(DivergenceError) as err:
+        simulate_mvsde(nan_jumps, make_time_grid(1.0, 100), 0.05, 200, seed=0, record="summary")
+    assert err.value.step == 0
+
+
+def _guard_models(tmp_path):
+    """Models whose clouds move every way the divergence guard tells apart."""
+    row_drift = ModelSpec(
+        name="row_drift",  # sigma = 0, no jumps: every step moves by one row
+        dim=1,
+        initial=np.array([0.2]),
+        drift=lambda t, x, law: np.array([3.0 * np.cos(6.0 * t) - 0.5]),
+        diffusion=lambda t, x, law: np.zeros((1, 1)),
+    )
+    two_atoms = _affine_jump_model(tmp_path, 2)  # noisy, a two-cell table
+    return {
+        "pure_jump": get_model("pure_jump"),  # one row, one-cell table
+        "two_atoms": two_atoms,
+        "two_atoms_quiet": dataclasses.replace(  # one row, a two-cell table
+            two_atoms, diffusion=lambda t, x, law: np.zeros((2, 2))
+        ),
+        "row_drift": row_drift,
+        # G reads x: the rank loop, after a per-particle compensator
+        "reads_x": dataclasses.replace(
+            get_model("pure_jump"), drift=row_drift.drift, jump=lambda t, x, law, z: 1.0 - x
+        ),
+        # G reads t per jump: the rank loop, after one row
+        "reads_t": dataclasses.replace(
+            get_model("pure_jump"),
+            drift=row_drift.drift,
+            jump=lambda t, x, law, z: np.reshape(1.0 - 2.0 * np.asarray(t, dtype=float), (-1, 1)),
+        ),
+    }
+
+
+@pytest.fixture(scope="module")
+def guard_models(tmp_path_factory):
+    return _guard_models(tmp_path_factory.mktemp("guard_models"))
+
+
+def _first_trip(spec, grid, ladder, n_particles, seed, limit):
+    """The first step k after which some lane has an entry beyond limit, or a
+    non-finite one, in a run at the default limit; None if none has."""
+    lanes = [Lane(eps, record="full") for eps in ladder]
+    runs = simulate_lanes(spec, grid, lanes, n_particles, seed)
+    far = [
+        k for r in runs for k in range(grid.n_steps) if not (np.abs(r.paths[k + 1]) <= limit).all()
+    ]
+    return min(far, default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(
+        ["pure_jump", "two_atoms", "two_atoms_quiet", "row_drift", "reads_x", "reads_t"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    n_particles=st.integers(1, 8),
+    limit=st.floats(0.02, 0.8),
+    ladder=st.sampled_from([[0.05], [0.2, 0.05]]),
+)
+def test_carried_bounds_trip_at_the_step_the_exact_test_does(
+    guard_models, name, seed, n_particles, limit, ladder
+):
+    # lanes carry bounds on their entries and run the exact test only when
+    # the bounds leave [-limit, limit]; a run at a small limit must stop at
+    # the first step where some cloud truly has an entry beyond it
+    from mvsde import skeleton
+
+    spec, grid = guard_models[name], make_time_grid(1.0, 40)
+    expected = _first_trip(spec, grid, ladder, n_particles, seed, limit)
+    lanes = [Lane(eps) for eps in ladder]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(skeleton, "_DIVERGENCE_LIMIT", limit)
+        if expected is None:
+            simulate_lanes(spec, grid, lanes, n_particles, seed)
+            return
+        with pytest.raises(DivergenceError) as err:
+            simulate_lanes(spec, grid, lanes, n_particles, seed)
+    assert err.value.step == expected
+
+
 def test_law_flow_variants_agree_for_mean_drift(example11):
     # the frozen lane on its lockstep companion equals, bit for bit, the
     # frozen lane fed a replay of the recorded uncontrolled run (the oracle);
@@ -591,6 +710,26 @@ def test_lanes_share_one_sort_per_step(tmp_path, monkeypatch):
         assert counts[name][0] == counts[name][1] > 0
 
 
+def test_the_exact_guard_runs_only_where_no_bounds_carry(monkeypatch):
+    # a pure_jump lane moves by one row and lands its jumps from a table, so
+    # it carries its bounds and never scans its cloud; example11's noise is
+    # per particle, so each lane runs the exact test at every step
+    import mvsde.dynamics as dynamics
+
+    calls = []
+    guard = dynamics._guard
+
+    def counting_guard(*args):
+        calls.append(args[1])
+        return guard(*args)
+
+    monkeypatch.setattr(dynamics, "_guard", counting_guard)
+    _ladder(get_model("pure_jump"))
+    assert calls == []
+    _ladder(get_model("example11"))
+    assert len(calls) == 100 * 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -603,7 +742,8 @@ def test_lanes_share_one_sort_per_step(tmp_path, monkeypatch):
 def test_one_cell_scatter_does_not_depend_on_jump_order(seed, n_particles, d, row):
     # every jump of a particle adds the same table row when one cell is
     # proposed, so the scatter gives the same bits in draw order and in
-    # (stream, time) order, however often a stream repeats
+    # (stream, time) order, however often a stream repeats, and the same as
+    # adding the row jump by jump
     from mvsde.dynamics import _scatter_jumps
     from mvsde.levy import propose_step, thin_step, time_order
 
@@ -618,7 +758,10 @@ def test_one_cell_scatter_does_not_depend_on_jump_order(seed, n_particles, d, ro
         x = x0.copy()
         _scatter_jumps(x, jumps[0], jumps[2], table)
         clouds.append(x.tobytes())
-    assert clouds[0] == clouds[1]
+    x = x0.copy()
+    for s in jumps[0]:
+        x[s] += table[0]
+    assert clouds[0] == clouds[1] == x.tobytes()
 
 
 def test_two_cell_steps_thin_the_time_ordered_set(tmp_path, monkeypatch):
